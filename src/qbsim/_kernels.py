@@ -1,9 +1,9 @@
-"""Pure-numpy RK4 propagation kernels.
+"""Numpy RK4 propagation kernels: the hot loops of the package.
 
-These are the fallback implementations of the hot loops; the Cython
-versions in ``_compiled.pyx`` have identical signatures and semantics.
-All kernels integrate i dpsi/dt = H psi (or the master equation) with
+Both kernels integrate i dpsi/dt = H psi (or the master equation) with
 fixed-step classical RK4 and record samples every ``n_sub`` steps.
+Callers look them up as ``_kernels.rk4_*`` at call time, so a wrapper
+installed on this module sees every call.
 
 State layout for the Schrodinger kernels: psi = [atom amplitudes (na),
 photon amplitudes (N)].  The Hamiltonian is passed in structured form:
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+#: There is no compiled backend; kept for run records that report it.
 USING_COMPILED = False
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import fit_decay, median_peak_spacing
-from .dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
+from .dynamics import evolve, initial_state, initial_state_atom_m
 from .errors import ConfigError, QbsimError
 from .lindblad import initial_density_matrix, lindblad_evolve
 from .model import atom_eigensystem_exact, atom_eigensystem_perturbative, dark_state_vector
@@ -62,12 +62,16 @@ def _c(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _initial_state(cfg: ScenarioConfig, model: str):
-    params = cfg.params
-    if cfg.photon_site is None:
-        return initial_state_atom_m(params, model, "site" if model != "effective" else "mode")
-    rep = "mode" if model == "effective" else "site"
-    return initial_state_photon_at_site(cfg.photon_site, params, model, rep)
+def _sweep(cfg: ScenarioConfig, omega0s, xis, photon_site: int, threads: int):
+    """W_max sweep of the config's params over its window, sampled every cfg.dt."""
+    return sweep_ergotropy(omega0s, xis, cfg.params, t_max=cfg.t_max,
+                           nt=int(round(cfg.t_max / cfg.dt)) + 1,
+                           photon_site=photon_site, n_workers=threads)
+
+
+def _write_wmax_grid(path: Path, res) -> None:
+    om, xi = np.meshgrid(res.omega0_grid, res.xi_grid, indexing="ij")
+    _write_csv(path, ["omega0", "xi", "w_max"], [om.ravel(), xi.ravel(), res.w_max.ravel()])
 
 
 # -- figure reproduction ---------------------------------------------------------
@@ -105,7 +109,8 @@ def _fig3_series(name: str, out: Path) -> dict:
     cfg = preset(name)
     params = cfg.params
     e1 = atom_eigensystem_exact(params).dark_energy
-    series = evolve(_initial_state(cfg, "effective"), cfg.time_grid(), params, e1=e1)
+    psi0 = initial_state(params, "effective", cfg.photon_site)
+    series = evolve(psi0, cfg.time_grid(), params, e1=e1)
     bs = find_bound_states(params, e1)
     p_an = long_time_probability(series.times, bs)
     _write_csv(out / f"{name}_dark_population.csv",
@@ -142,7 +147,7 @@ def _reproduce_fig4(out: Path, threads: int) -> dict:
     cfg = preset("fig4")
     params = cfg.params
     t_grid = cfg.time_grid()
-    series = evolve(_initial_state(cfg, "effective"), t_grid, params)
+    series = evolve(initial_state(params, "effective", cfg.photon_site), t_grid, params)
     fit_two = fit_decay(series.times, series.p_dark, t_min=10.0)
 
     bare = params.replace(g1=0.0, g2=0.0)
@@ -171,15 +176,8 @@ def _reproduce_fig4(out: Path, threads: int) -> dict:
 
 def _reproduce_fig5(out: Path, threads: int) -> dict:
     cfg = preset("fig5")
-    res = sweep_ergotropy(
-        cfg.sweep_omega0, cfg.sweep_xi, cfg.params,
-        t_max=cfg.t_max, nt=int(round(cfg.t_max / cfg.dt)) + 1,
-        photon_site=cfg.photon_site, n_workers=threads,
-    )
-    om, xi = np.meshgrid(res.omega0_grid, res.xi_grid, indexing="ij")
-    _write_csv(out / "fig5_wmax_grid.csv",
-               ["omega0", "xi", "w_max"],
-               [om.ravel(), xi.ravel(), res.w_max.ravel()])
+    res = _sweep(cfg, cfg.sweep_omega0, cfg.sweep_xi, cfg.photon_site, threads)
+    _write_wmax_grid(out / "fig5_wmax_grid.csv", res)
     re_e1 = atom_eigensystem_exact(cfg.params).dark_energy.real
     argmax_omega0 = res.omega0_grid[np.nanargmax(res.w_max, axis=0)]
     step = float(res.omega0_grid[1] - res.omega0_grid[0])
@@ -197,11 +195,7 @@ def _reproduce_fig5(out: Path, threads: int) -> dict:
 
 def _reproduce_fig6(out: Path, threads: int) -> dict:
     cfg = preset("fig6")
-    res = sweep_ergotropy(
-        [cfg.params.omega0], cfg.sweep_xi, cfg.params,
-        t_max=cfg.t_max, nt=int(round(cfg.t_max / cfg.dt)) + 1,
-        photon_site=cfg.photon_site, n_workers=threads,
-    )
+    res = _sweep(cfg, [cfg.params.omega0], cfg.sweep_xi, cfg.photon_site, threads)
     w = res.w_max[0]
     xi = res.xi_grid
     _write_csv(out / "fig6_wmax_vs_xi.csv", ["xi", "w_max"], [xi, w])
@@ -289,16 +283,9 @@ def run_custom(cfg: ScenarioConfig, out_dir: Path, threads: int) -> dict:
     if cfg.sweep_omega0 is not None or cfg.sweep_xi is not None:
         omega0s = cfg.sweep_omega0 or (params.omega0,)
         xis = cfg.sweep_xi or (params.xi,)
-        res = sweep_ergotropy(
-            omega0s, xis, params, t_max=cfg.t_max,
-            nt=int(round(cfg.t_max / cfg.dt)) + 1,
-            photon_site=cfg.photon_site if cfg.photon_site is not None else 1,
-            n_workers=threads,
-        )
-        om, xi = np.meshgrid(res.omega0_grid, res.xi_grid, indexing="ij")
-        _write_csv(out_dir / f"{label}_wmax.csv",
-                   ["omega0", "xi", "w_max"],
-                   [om.ravel(), xi.ravel(), res.w_max.ravel()])
+        photon_site = cfg.photon_site if cfg.photon_site is not None else 1
+        res = _sweep(cfg, omega0s, xis, photon_site, threads)
+        _write_wmax_grid(out_dir / f"{label}_wmax.csv", res)
         summary = {
             "label": label,
             "kind": "sweep",
@@ -320,7 +307,7 @@ def run_custom(cfg: ScenarioConfig, out_dir: Path, threads: int) -> dict:
         if bs.n_roots == 2:
             summary["phi"] = _c(bs.phi)
     elif cfg.model == "lindblad":
-        rho0 = initial_density_matrix(_initial_state(cfg, "full"), params)
+        rho0 = initial_density_matrix(initial_state(params, "full", cfg.photon_site), params)
         series = lindblad_evolve(rho0, cfg.time_grid(), params)
         _write_csv(out_dir / f"{label}_series.csv",
                    ["t", "p_dark", "trace"],
@@ -332,7 +319,7 @@ def run_custom(cfg: ScenarioConfig, out_dir: Path, threads: int) -> dict:
             "files": [f"{label}_series.csv"],
         }
     else:
-        series = evolve(_initial_state(cfg, cfg.model), cfg.time_grid(), params)
+        series = evolve(initial_state(params, cfg.model, cfg.photon_site), cfg.time_grid(), params)
         _write_csv(out_dir / f"{label}_series.csv",
                    ["t", "p_dark", "norm2"],
                    [series.times, series.p_dark, series.norm2])

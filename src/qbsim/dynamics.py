@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DarkConditionViolated, IndexOutOfRange, OutOfRange, StepSizeTooLarge
-from .model import atom_hamiltonian, dark_state_energy, dark_state_vector
+from .errors import IndexOutOfRange, OutOfRange, StepSizeTooLarge
+from .model import dark_state_vector, hamiltonian_blocks
 from .params import SystemParams
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
     "TimeSeries",
     "initial_state_photon_at_site",
     "initial_state_atom_m",
+    "initial_state",
+    "check_time_grid",
+    "step_rule",
     "evolve",
     "dark_population",
     "STEP_FACTOR",
@@ -65,13 +68,6 @@ class WaveFunction:
     @property
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.atom) ** 2) + np.sum(np.abs(self.photon) ** 2))
-
-    def dark_amplitude(self, params: SystemParams) -> complex:
-        """Overlap <0, E1|psi> (just u for the effective model)."""
-        if self.model == "effective":
-            return complex(self.atom[0])
-        dark = dark_state_vector(params)
-        return complex(np.vdot(dark, self.atom))
 
     def to_representation(self, rep: str, params: SystemParams) -> "WaveFunction":
         if rep == self.representation:
@@ -147,44 +143,40 @@ def initial_state_atom_m(
     return WaveFunction(atom, photon, representation, model)
 
 
-def _build_blocks(params: SystemParams, psi0: WaveFunction, e1: complex | None):
-    """Structured Hamiltonian blocks for the kernel, centroid-shifted."""
-    n = params.n_cavities
-    model = psi0.model
-    rep = psi0.representation
-    if model == "effective":
-        if not params.dark_condition_ok:
-            raise DarkConditionViolated("effective model requires g1/g2 = -Oc/Op")
-        if e1 is None:
-            e1 = dark_state_energy(params)
-        atom_block = np.array([[e1]], dtype=complex)
-        if rep == "mode":
-            coupling = np.full((1, n), params.j_coupling, dtype=complex)
-        else:
-            coupling = np.zeros((1, n), dtype=complex)
-            coupling[0, 0] = params.g
-    else:
-        atom_block = atom_hamiltonian(params)
-        coupling = np.zeros((3, n), dtype=complex)
-        if rep == "mode":
-            coupling[0, :] = params.g1 / math.sqrt(n)
-            coupling[2, :] = params.g2 / math.sqrt(n)
-        else:
-            coupling[0, 0] = params.g1
-            coupling[2, 0] = params.g2
-    if rep == "mode":
-        photon_diag = params.mode_frequencies().astype(complex)
-        diag_real = np.concatenate([np.diag(atom_block).real, photon_diag.real])
-    else:
-        photon_diag = None
-        diag_real = np.concatenate([np.diag(atom_block).real, [params.band_lower, params.band_upper]])
-    centroid = 0.5 * (diag_real.max() + diag_real.min())
-    atom_block = atom_block - centroid * np.eye(atom_block.shape[0])
-    omega0_shift = params.omega0 - centroid
-    if photon_diag is not None:
-        photon_diag = photon_diag - centroid
-    spread = max(np.max(np.abs(diag_real - centroid)), 1e-30)
-    return atom_block, coupling, photon_diag, omega0_shift, centroid, spread
+def initial_state(params: SystemParams, model: str, photon_site: int | None) -> WaveFunction:
+    """Scenario start: a photon in ``photon_site``, or the atom in |m> when it is None.
+
+    The effective model starts in mode space, the full model in site space.
+    """
+    rep = "mode" if model == "effective" else "site"
+    if photon_site is None:
+        return initial_state_atom_m(params, model, rep)
+    return initial_state_photon_at_site(photon_site, params, model, rep)
+
+
+def check_time_grid(t_grid) -> tuple[np.ndarray, float]:
+    """Validate a uniform, increasing grid from 0; returns it and its spacing."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValueError("t_grid must be 1-D with at least two points")
+    dt_grid = np.diff(t_grid)
+    if t_grid[0] != 0.0 or np.any(dt_grid <= 0):
+        raise ValueError("t_grid must increase from 0")
+    if not np.allclose(dt_grid, dt_grid[0], rtol=1e-9, atol=0.0):
+        raise ValueError("t_grid must be uniform")
+    return t_grid, float(dt_grid[0])
+
+
+def step_rule(diag: np.ndarray, dt_grid: float) -> tuple[float, int, float]:
+    """Centroid, substeps n_sub and RK4 step dt for the grid spacing ``dt_grid``.
+
+    dt is the largest step <= STEP_FACTOR/max|diag - centroid| dividing dt_grid.
+    """
+    centroid = 0.5 * (diag.max() + diag.min())
+    spread = max(np.max(np.abs(diag - centroid)), 1e-30)
+    dt_max = STEP_FACTOR / spread
+    n_sub = max(1, int(math.ceil(dt_grid / dt_max - 1e-12)))
+    return centroid, n_sub, dt_grid / n_sub
 
 
 def evolve(
@@ -197,25 +189,23 @@ def evolve(
     """Integrate i dpsi/dt = H psi and record P_E1(t) on ``t_grid``.
 
     ``t_grid`` must be a uniform, increasing grid starting at 0.  The RK4
-    substep is chosen as the largest dt <= STEP_FACTOR/max|diag| that
-    divides the grid spacing.  Raises StepSizeTooLarge if the norm grows
-    beyond tolerance at kappa = 0.
+    substep follows ``step_rule`` over the atom levels plus the mode
+    frequencies (mode space) or the band edges (site space).  Raises
+    StepSizeTooLarge if the norm grows beyond tolerance at kappa = 0.
     """
     if model is not None and model != psi0.model:
         raise ValueError(f"psi0 was built for model {psi0.model!r}, not {model!r}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid must have at least two points")
-    dt_grid = np.diff(t_grid)
-    if t_grid[0] != 0.0 or np.any(dt_grid <= 0):
-        raise ValueError("t_grid must increase from 0")
-    if not np.allclose(dt_grid, dt_grid[0], rtol=1e-9, atol=0.0):
-        raise ValueError("t_grid must be uniform")
+    t_grid, dt_grid = check_time_grid(t_grid)
 
-    atom_block, coupling, photon_diag, omega0_shift, _, spread = _build_blocks(params, psi0, e1)
-    dt_max = STEP_FACTOR / spread
-    n_sub = max(1, int(math.ceil(dt_grid[0] / dt_max - 1e-12)))
-    dt = dt_grid[0] / n_sub
+    atom_block, coupling, photon_diag = hamiltonian_blocks(
+        params, psi0.model, psi0.representation, e1)
+    band_edges = [params.band_lower, params.band_upper]
+    photon_levels = band_edges if photon_diag is None else photon_diag.real
+    diag = np.concatenate([np.diag(atom_block).real, photon_levels])
+    centroid, n_sub, dt = step_rule(diag, dt_grid)
+    atom_block = atom_block - centroid * np.eye(atom_block.shape[0])
+    if photon_diag is not None:
+        photon_diag = photon_diag - centroid
 
     psi_init = np.concatenate([psi0.atom, psi0.photon])
     norm_tol = NORM_GROWTH_TOL if params.kappa == 0.0 else 0.0
@@ -224,7 +214,7 @@ def evolve(
             atom_block,
             coupling,
             photon_diag,
-            omega0_shift,
+            params.omega0 - centroid,
             params.xi,
             psi_init,
             dt,

@@ -17,15 +17,14 @@ A pure-dephasing channel sqrt(kappa)|0,d><0,d| is available behind the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .dynamics import STEP_FACTOR, TimeSeries, WaveFunction
+from .dynamics import TimeSeries, WaveFunction, check_time_grid, step_rule
 from .errors import TraceDrift
-from .model import dark_state_vector
+from .model import assemble_hamiltonian, dark_state_vector, hamiltonian_blocks
 from .params import SystemParams
 
 __all__ = ["DensityMatrix", "lindblad_evolve", "initial_density_matrix", "population_report"]
@@ -63,22 +62,11 @@ class DensityMatrix:
 
 
 def _full_hermitian_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Hermitian single-excitation Hamiltonian (real d energy), site space."""
-    n = params.n_cavities
-    dim = n + 4
-    h = np.zeros((dim, dim), dtype=complex)
-    h[D_IDX, D_IDX] = params.omega_d_real
-    h[E_IDX, E_IDX] = params.delta_e
-    h[M_IDX, M_IDX] = params.omega_m_level
-    h[D_IDX, E_IDX] = h[E_IDX, D_IDX] = params.omega_p_rabi
-    h[E_IDX, M_IDX] = h[M_IDX, E_IDX] = params.omega_c_rabi
-    sites = np.arange(4, dim)
-    h[sites, sites] = params.omega0
-    nxt = 4 + (np.arange(n) + 1) % n
-    h[sites, nxt] = -params.xi
-    h[nxt, sites] = -params.xi
-    h[D_IDX, 4] = h[4, D_IDX] = params.g1
-    h[M_IDX, 4] = h[4, M_IDX] = params.g2
+    """Hermitian single-excitation Hamiltonian, site space: an empty sink row and column, then
+    the real part of the full model (exact: omega_d_real - i*kappa/2 is its only complex entry)."""
+    full = assemble_hamiltonian(params, *hamiltonian_blocks(params, "full", "site"))
+    h = np.zeros((params.n_cavities + 4, params.n_cavities + 4), dtype=complex)
+    h[D_IDX:, D_IDX:] = full.real
     return h
 
 
@@ -101,30 +89,23 @@ def lindblad_evolve(
 ) -> TimeSeries:
     """Propagate drho/dt = -i[H, rho] + D[L]rho and record P_E1(t).
 
-    RK4 with the same step rule as the Schrodinger side (dt <=
-    STEP_FACTOR/max|diag - centroid|) and re-Hermitization each step.
+    RK4 with the same step rule as the Schrodinger side (``step_rule``
+    over the coupled diagonal: the atom levels and omega0) and
+    re-Hermitization each step.
     Raises TraceDrift if |tr rho - 1| exceeds 1e-6 at any sample.
     """
     if collapse not in ("jump_to_ground", "dephasing"):
         raise ValueError(f"unknown collapse model {collapse!r}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt_grid = np.diff(t_grid)
-    if t_grid[0] != 0.0 or np.any(dt_grid <= 0) or not np.allclose(dt_grid, dt_grid[0], rtol=1e-9):
-        raise ValueError("t_grid must be uniform and increase from 0")
+    t_grid, dt_grid = check_time_grid(t_grid)
 
     h = _full_hermitian_hamiltonian(params)
     # The sink is fully decoupled (zero row and column), so its coherences
     # vanish identically and its diagonal energy is unobservable; parking it
     # at the coupled-block centroid keeps the step rule tied to the physical
     # frequency spread.
-    diag = np.diag(h).real[1:]
-    centroid = 0.5 * (diag.max() + diag.min())
+    centroid, n_sub, dt = step_rule(np.diag(h).real[D_IDX:], dt_grid)
     h_shift = h - centroid * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
-    spread = max(np.max(np.abs(diag - centroid)), 1e-30)
-    dt_max = STEP_FACTOR / spread
-    n_sub = max(1, int(math.ceil(dt_grid[0] / dt_max - 1e-12)))
-    dt = dt_grid[0] / n_sub
 
     rho_samples, traces = _kernels.rk4_lindblad(
         h_shift,
@@ -152,8 +133,7 @@ def lindblad_evolve(
         atom_amps=atom_diag,
         model="lindblad",
     )
-    # Final state rides along for population reports and positivity checks.
-    series.final_state = None
+    # Every sampled state rides along for population reports and positivity checks.
     series.rho_samples = rho_samples  # type: ignore[attr-defined]
     return series
 

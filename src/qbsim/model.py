@@ -8,6 +8,7 @@ kappa > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "dark_state_vector",
     "dark_state_energy",
     "effective_hamiltonian",
+    "hamiltonian_blocks",
+    "assemble_hamiltonian",
 ]
 
 
@@ -187,42 +190,65 @@ def dark_state_vector(params: SystemParams) -> np.ndarray:
     return vec
 
 
+def hamiltonian_blocks(params: SystemParams, model: str = "effective", representation: str = "mode",
+                       e1: complex | None = None):
+    """Structured single-excitation Hamiltonian: (atom_block, coupling, photon_diag).
+
+    The atom block is [[E1]] for the ``effective`` model (``e1`` defaults to
+    the exact dark energy) and the 3x3 (d, e, m) block for ``full``;
+    ``coupling`` has one row per atom state.  In ``mode`` representation
+    photon_diag holds omega_k and every mode couples with g/sqrt(N); in
+    ``site`` representation it is None (the cyclic omega0, -xi chain) and
+    only site 0 couples.
+    """
+    if representation not in ("mode", "site"):
+        raise ValueError(f"representation must be 'mode' or 'site', got {representation!r}")
+    if model == "effective":
+        if not params.dark_condition_ok:
+            raise DarkConditionViolated("effective model needs g1/g2 = -Oc/Op")
+        if e1 is None:
+            e1 = dark_state_energy(params)
+        atom_block = np.array([[e1]], dtype=complex)
+        couplings = np.array([params.g])
+    else:
+        atom_block = atom_hamiltonian(params)
+        couplings = np.array([params.g1, 0.0, params.g2])
+    coupling = np.zeros((len(couplings), params.n_cavities), dtype=complex)
+    if representation == "site":
+        coupling[:, 0] = couplings
+        return atom_block, coupling, None
+    coupling[:] = couplings[:, None] / math.sqrt(params.n_cavities)
+    return atom_block, coupling, params.mode_frequencies().astype(complex)
+
+
+def assemble_hamiltonian(params: SystemParams, atom_block: np.ndarray, coupling: np.ndarray,
+                         photon_diag: np.ndarray | None) -> np.ndarray:
+    """Dense matrix of the blocks from ``hamiltonian_blocks``: atom states first, then photons."""
+    na, n = coupling.shape
+    h = np.zeros((na + n, na + n), dtype=complex)
+    h[:na, :na] = atom_block
+    h[:na, na:] = coupling
+    h[na:, :na] = coupling.T
+    idx = np.arange(na, na + n)
+    if photon_diag is not None:
+        h[idx, idx] = photon_diag
+    else:
+        h[idx, idx] = params.omega0
+        nxt = na + (np.arange(n) + 1) % n
+        h[idx, nxt] = -params.xi
+        h[nxt, idx] = -params.xi
+    return h
+
+
 def effective_hamiltonian(
     params: SystemParams,
     representation: str = "mode",
     e1: complex | None = None,
 ) -> np.ndarray:
-    """(N+1)x(N+1) dark-state + array Hamiltonian.
+    """(N+1)x(N+1) dark-state + array Hamiltonian, assembled from ``hamiltonian_blocks``.
 
-    Basis: index 0 is |0, E1> (atom in the dark state, array in vacuum),
-    indices 1..N are single-photon states.  In ``mode`` representation the
-    photon block is diag(omega_k) and the atom couples to every mode with
-    J = g/sqrt(N); in ``site`` representation it is omega0 with -xi cyclic
-    hopping and the atom couples to site 0 with g.  The two are related by
-    the discrete Fourier transform and share their spectrum.
-
-    ``e1`` defaults to the exact dark energy for the given params.
+    Index 0 is |0, E1> (atom in the dark state, array in vacuum), indices
+    1..N are single-photon states.  The ``mode`` and ``site`` forms are
+    related by the discrete Fourier transform and share their spectrum.
     """
-    if representation not in ("mode", "site"):
-        raise ValueError(f"representation must be 'mode' or 'site', got {representation!r}")
-    if not params.dark_condition_ok:
-        raise DarkConditionViolated("effective model needs g1/g2 = -Oc/Op")
-    if e1 is None:
-        e1 = dark_state_energy(params)
-    n = params.n_cavities
-    h = np.zeros((n + 1, n + 1), dtype=complex)
-    h[0, 0] = e1
-    if representation == "mode":
-        omega_k = params.mode_frequencies()
-        h[np.arange(1, n + 1), np.arange(1, n + 1)] = omega_k
-        h[0, 1:] = params.j_coupling
-        h[1:, 0] = params.j_coupling
-    else:
-        idx = np.arange(1, n + 1)
-        h[idx, idx] = params.omega0
-        nxt = 1 + (np.arange(n) + 1) % n
-        h[idx, nxt] = -params.xi
-        h[nxt, idx] = -params.xi
-        h[0, 1] = params.g
-        h[1, 0] = params.g
-    return h
+    return assemble_hamiltonian(params, *hamiltonian_blocks(params, "effective", representation, e1))

@@ -55,22 +55,10 @@ NEWTON_MAXITER = 200
 
 @dataclass(frozen=True)
 class BandInfo:
-    """Band edges and their images p = -i*E in the Laplace variable."""
+    """Edges of the cosine band omega0 -+ 2 xi."""
 
     lower_edge: float
     upper_edge: float
-
-    @property
-    def width(self) -> float:
-        return self.upper_edge - self.lower_edge
-
-    @property
-    def p_min(self) -> float:
-        return -self.upper_edge
-
-    @property
-    def p_max(self) -> float:
-        return -self.lower_edge
 
     def contains(self, energy: float) -> bool:
         return self.lower_edge < energy < self.upper_edge
@@ -346,33 +334,46 @@ def find_bound_states(params: SystemParams, e1: complex) -> BoundStateSet:
 # -- branch cut ---------------------------------------------------------------
 
 
+def _branch_cut_density(params: SystemParams, e1: complex,
+                        initial: str) -> Callable[[float, float], complex]:
+    """Branch-cut density C(x) without its phase, as a function of (x, w2 = 4 xi^2 - x^2).
+
+    photon at site 0:  C(x) = -(1/pi) * [g/sqrt(w2)] * (E1 - omega0 + x)
+                              / [(E1 - omega0 + x)^2 + g^4/w2]
+    atom (u(0) = 1):   C(x) = (1/pi) * [g^2/sqrt(w2)] / [(E1 - omega0 + x)^2 + g^4/w2]
+
+    The g^4 in the denominator is (J^2 N)^2: the mode sum contributes
+    J^2 * N/sqrt(w2) on the cut, and it is that full term that gets squared.
+    """
+    g = params.g
+    g4 = g**4
+    shift = e1 - params.omega0
+    if initial == "photon":
+
+        def density(x: float, w2: float) -> complex:
+            a = shift + x
+            return -(g / math.sqrt(w2)) * a / (a * a + g4 / w2) / math.pi
+
+    elif initial == "atom":
+
+        def density(x: float, w2: float) -> complex:
+            a = shift + x
+            return (g * g / math.sqrt(w2)) / (a * a + g4 / w2) / math.pi
+
+    else:
+        raise ValueError(f"initial must be 'photon' or 'atom', got {initial!r}")
+    return density
+
+
 def branch_cut_integrand(x: float, t: float, params: SystemParams, e1: complex) -> complex:
-    """Branch-cut density C(x) for the photon-at-site-0 initial condition.
+    """Branch-cut integrand C(x) exp(i (x - omega0) t) for the photon-at-site-0 start.
 
-    C(x) = -(1/pi) * [g/sqrt(4 xi^2 - x^2)] * [(x - omega0) + E1]
-           / [(E1 - omega0 + x)^2 + g^4/(4 xi^2 - x^2)] * exp(i (x - omega0) t)
-
-    valid strictly inside |x| < 2 xi.  The g^4 in the denominator is
-    (J^2 N)^2: the mode sum contributes J^2 * N/sqrt(4 xi^2 - x^2) on the
-    cut, and it is that full term that gets squared.
+    See ``_branch_cut_density`` for C(x); valid strictly inside |x| < 2 xi.
     """
     xi = params.xi
     if abs(x) >= 2.0 * xi:
         raise EdgeSingularity(f"|x| = {abs(x)} is not inside the band half-width {2.0 * xi}")
-    g = params.g
-    w2 = 4.0 * xi**2 - x * x
-    a = e1 - params.omega0 + x
-    dens = -(g / math.sqrt(w2)) * a / (a * a + g**4 / w2) / math.pi
-    return dens * cmath.exp(1j * (x - params.omega0) * t)
-
-
-def _branch_cut_integrand_atom(x: float, t: float, params: SystemParams, e1: complex) -> complex:
-    """Branch-cut density for initial amplitude on the dark state (u(0)=1)."""
-    xi = params.xi
-    g = params.g
-    w2 = 4.0 * xi**2 - x * x
-    a = e1 - params.omega0 + x
-    dens = (g * g / math.sqrt(w2)) / (a * a + g**4 / w2) / math.pi
+    dens = _branch_cut_density(params, e1, "photon")(x, 4.0 * xi**2 - x * x)
     return dens * cmath.exp(1j * (x - params.omega0) * t)
 
 
@@ -388,28 +389,11 @@ def branch_cut_integral(
     Uses the substitution x = 2 xi sin(theta), which absorbs the
     1/sqrt(4 xi^2 - x^2) edge behaviour into a bounded integrand.
     """
-    xi = params.xi
-    g = params.g
-    if g == 0.0:
+    if params.g == 0.0:
         return 0.0j
-    two_xi = 2.0 * xi
+    density = _branch_cut_density(params, e1, initial)
+    two_xi = 2.0 * params.xi
     omega0 = params.omega0
-    g4 = g**4
-
-    if initial == "photon":
-
-        def density(x: float, w2: float) -> complex:
-            a = e1 - omega0 + x
-            return -(g / math.sqrt(w2)) * a / (a * a + g4 / w2) / math.pi
-
-    elif initial == "atom":
-
-        def density(x: float, w2: float) -> complex:
-            a = e1 - omega0 + x
-            return (g * g / math.sqrt(w2)) / (a * a + g4 / w2) / math.pi
-
-    else:
-        raise ValueError(f"initial must be 'photon' or 'atom', got {initial!r}")
 
     def integrand(theta: float) -> complex:
         x = two_xi * math.sin(theta)

@@ -8,15 +8,15 @@ the ergotropy is evaluated, matching the Lindblad sink.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import TimeSeries, evolve, initial_state_atom_m, initial_state_photon_at_site
+from .dynamics import evolve, initial_state
 from .errors import NotNormalizable, QbsimError
-from .model import dark_state_vector
+from .model import atom_hamiltonian, dark_state_vector
 from .params import SystemParams
 
 __all__ = [
@@ -66,13 +66,10 @@ class ErgotropyTrace:
 
 
 def battery_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Hermitian 4x4 battery Hamiltonian: ground at 0 plus the kappa=0 atom block."""
+    """Hermitian 4x4 battery Hamiltonian: ground at 0 plus the kappa=0 atom block, which is
+    the real part of ``atom_hamiltonian`` (omega_d_real - i*kappa/2 is its only complex entry)."""
     h = np.zeros((4, 4))
-    h[1, 1] = params.omega_d_real
-    h[2, 2] = params.delta_e
-    h[3, 3] = params.omega_m_level
-    h[1, 2] = h[2, 1] = params.omega_p_rabi
-    h[2, 3] = h[3, 2] = params.omega_c_rabi
+    h[1:, 1:] = atom_hamiltonian(params).real
     return h
 
 
@@ -106,6 +103,17 @@ def reduce_battery(psi, params: SystemParams, t: float = 0.0) -> BatteryState:
     return _battery_from_amplitudes(np.atleast_1d(psi.atom), params, psi.model, t)
 
 
+def _passive_populations(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of rho, in descending order."""
+    return np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1]
+
+
+def _work(rho: np.ndarray, h_battery: np.ndarray, eps: np.ndarray) -> float:
+    """tr(rho H) - r . eps, with eps the ascending eigenvalues of H."""
+    active = float(np.real(np.trace(rho @ h_battery)))
+    return active - float(np.dot(_passive_populations(rho), eps))
+
+
 def passive_state(rho: BatteryState, h_battery: np.ndarray) -> BatteryState:
     """Zero-ergotropy rearrangement of ``rho``.
 
@@ -114,18 +122,14 @@ def passive_state(rho: BatteryState, h_battery: np.ndarray) -> BatteryState:
     the stable sort, which leaves the ergotropy unchanged within a
     degenerate block.
     """
-    r = np.linalg.eigvalsh(0.5 * (rho.rho + rho.rho.conj().T))[::-1]
-    eps, vecs = np.linalg.eigh(h_battery)
-    out = (vecs * r) @ vecs.conj().T
+    _, vecs = np.linalg.eigh(h_battery)
+    out = (vecs * _passive_populations(rho.rho)) @ vecs.conj().T
     return BatteryState(rho=out, time=rho.time)
 
 
 def ergotropy(rho: BatteryState, h_battery: np.ndarray) -> float:
     """W = tr(rho H) - tr(passive(rho) H); nonnegative by construction."""
-    r = np.linalg.eigvalsh(0.5 * (rho.rho + rho.rho.conj().T))[::-1]
-    eps = np.linalg.eigvalsh(h_battery)
-    active = float(np.real(np.trace(rho.rho @ h_battery)))
-    return active - float(np.dot(r, eps))
+    return _work(rho.rho, h_battery, np.linalg.eigvalsh(h_battery))
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,7 @@ class ChargingScenario:
     model: str = "effective"
 
     def initial_state(self):
-        if self.photon_site is None:
-            return initial_state_atom_m(self.params, self.model)
-        return initial_state_photon_at_site(
-            self.photon_site, self.params, self.model,
-            "mode" if self.model == "effective" else "site",
-        )
+        return initial_state(self.params, self.model, self.photon_site)
 
 
 def ergotropy_trace(scenario: ChargingScenario, t_grid: np.ndarray) -> ErgotropyTrace:
@@ -157,9 +156,7 @@ def ergotropy_trace(scenario: ChargingScenario, t_grid: np.ndarray) -> Ergotropy
     work = np.empty(len(series.times))
     for i, t in enumerate(series.times):
         state = _battery_from_amplitudes(series.atom_amps[i], params, scenario.model, t)
-        r = np.linalg.eigvalsh(state.rho)[::-1]
-        active = float(np.real(np.trace(state.rho @ h_b)))
-        work[i] = active - float(np.dot(r, eps))
+        work[i] = _work(state.rho, h_b, eps)
     power = np.zeros_like(work)
     power[1:] = work[1:] / series.times[1:]
     imax = int(np.argmax(work))
@@ -218,15 +215,10 @@ def sweep_ergotropy(
             tasks.append((i, j, params_base, float(om0), float(xi), photon_site, t_max, nt))
     w = np.full((len(omega0_grid), len(xi_grid)), np.nan)
     errors: dict = {}
-    if n_workers is None or n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for i, j, val, err in pool.map(_sweep_cell, tasks, chunksize=8):
-                w[i, j] = val
-                if err:
-                    errors[(i, j)] = err
-    else:
-        for task in tasks:
-            i, j, val, err = _sweep_cell(task)
+    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers is None or n_workers > 1 else None
+    with pool or nullcontext():
+        cells = map(_sweep_cell, tasks) if pool is None else pool.map(_sweep_cell, tasks, chunksize=8)
+        for i, j, val, err in cells:
             w[i, j] = val
             if err:
                 errors[(i, j)] = err

@@ -88,3 +88,21 @@ def test_dephasing_variant_preserves_trace(small_params):
     # dephasing keeps the excitation: no sink population
     rep = population_report(DensityMatrix(lb.rho_samples[-1], p))
     assert rep["ground_vacuum"] <= 1e-10
+
+
+@pytest.mark.parametrize("propagate", ["evolve", "lindblad_evolve"])
+@pytest.mark.parametrize("t_grid, message", [
+    (np.array([0.0]), "at least two points"),
+    (np.linspace(0.0, 1.0, 6).reshape(2, 3), "at least two points"),
+    (np.array([0.0, 0.1, 0.3]), "uniform"),
+    (np.linspace(0.1, 1.0, 10), "increase from 0"),
+])
+def test_bad_time_grid_rejected(small_params, propagate, t_grid, message):
+    # Both propagators share one grid check and so reject a bad grid alike.
+    p = small_params.replace(n_cavities=7)
+    psi0 = initial_state_photon_at_site(0, p, "full", "site")
+    with pytest.raises(ValueError, match=message):
+        if propagate == "evolve":
+            evolve(psi0, t_grid, p)
+        else:
+            lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p)

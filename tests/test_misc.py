@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -60,18 +57,6 @@ def test_qbsim_out_env_var(tmp_path, capsys, monkeypatch, fig3a_params):
     assert main(["run", str(path)]) == 0
     capsys.readouterr()
     assert (tmp_path / "envout" / "envtest_series.csv").exists()
-
-
-def test_pure_python_fallback_selectable():
-    code = (
-        "import qbsim._kernels as k; "
-        "assert not k.USING_COMPILED; "
-        "print('fallback ok')"
-    )
-    env = dict(os.environ, QBSIM_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0 and "fallback ok" in out.stdout
 
 
 @pytest.mark.slow

@@ -118,6 +118,22 @@ class TestBranchCut:
             branch = branch_cut_integral(0.0, p, e1)
             assert abs(poles + branch) <= 1e-6
 
+    def test_sum_rule_t0_atom_start(self, fig2_params):
+        # Dark-state start: poles plus branch cut rebuild u(0) = 1.
+        for e1 in (19.0, 20.5, 21.7):
+            u0 = analytic_amplitude(0.0, fig2_params, complex(e1),
+                                    include_branch_cut=True, initial="atom")
+            assert abs(u0 - 1.0) <= 1e-6
+
+    def test_atom_start_matches_diagonalization(self, fig2_params):
+        # u(t) = <0|exp(-iHt)|0> = sum_k |v_0k|^2 exp(-i E_k t) at kappa = 0.
+        e1 = 20.5 + 0j
+        vals, vecs = np.linalg.eigh(effective_hamiltonian(fig2_params, "mode", e1=e1).real)
+        for t in (1.0, 3.0):
+            exact = np.sum(np.abs(vecs[0]) ** 2 * np.exp(-1j * vals * t))
+            u = analytic_amplitude(t, fig2_params, e1, include_branch_cut=True, initial="atom")
+            assert abs(u - exact) <= 1e-6
+
     def test_fig3a_branch_dephased_at_t50(self, fig3a_params):
         e1 = atom_eigensystem_exact(fig3a_params).dark_energy
         assert abs(branch_cut_integral(50.0, fig3a_params, e1)) < 0.02

@@ -39,6 +39,33 @@ def random_hamiltonian(rng):
     return a + a.conj().T
 
 
+class TestChargingScenarioInitialState:
+    # One rule for scenarios and the CLI: the effective model starts in mode
+    # space, the full model in site space, the atom in |m> without a photon.
+    def test_photon_site(self, charger_params):
+        p = charger_params
+        n = p.n_cavities
+        eff = ChargingScenario(p, photon_site=1).initial_state()
+        assert (eff.model, eff.representation) == ("effective", "mode")
+        assert np.array_equal(eff.atom, [0.0])
+        assert np.allclose(eff.photon, np.exp(-1j * p.mode_wavenumbers()) / math.sqrt(n))
+        full = ChargingScenario(p, photon_site=1, model="full").initial_state()
+        assert (full.model, full.representation) == ("full", "site")
+        assert np.array_equal(full.atom, [0.0, 0.0, 0.0])
+        assert np.array_equal(full.photon, np.eye(n)[1])
+
+    def test_atom_in_m(self, charger_params):
+        p = charger_params
+        eff = ChargingScenario(p, photon_site=None).initial_state()
+        assert (eff.model, eff.representation) == ("effective", "mode")
+        assert eff.atom[0] == pytest.approx(np.conj(dark_state_vector(p)[2]))
+        assert not eff.photon.any()
+        full = ChargingScenario(p, photon_site=None, model="full").initial_state()
+        assert (full.model, full.representation) == ("full", "site")
+        assert np.array_equal(full.atom, [0.0, 0.0, 1.0])
+        assert not full.photon.any()
+
+
 class TestReduceBattery:
     def test_empty_atom_is_ground(self, charger_params):
         psi = initial_state_photon_at_site(0, charger_params, "effective", "mode")
