@@ -5,18 +5,22 @@ fixed-step classical RK4 and record samples every ``n_sub`` steps.
 Callers look them up as ``_kernels.rk4_*`` at call time, so a wrapper
 installed on this module sees every call.
 
-State layout for the Schrodinger kernels: psi = [atom amplitudes (na),
-photon amplitudes (N)].  The Hamiltonian is passed in structured form:
-
-  atom_block : (na, na) complex   -- atom Hamiltonian (non-Hermitian ok)
-  coupling   : (na, N) complex    -- atom-photon coupling rows
-  photon part: either diag (N,) for mode space, or (omega0, xi) for the
-               cyclic tight-binding chain in site space.
-
-Records per sample: atom amplitudes and the total norm^2.
+Schrodinger: H does not depend on time, so one RK4 step is exactly the
+matrix P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 with z = -i dt H, and n_sub
+steps are P^n_sub (Moler & Van Loan, SIAM Rev. 45 (2003) 3).  The kernel
+builds P by Horner's rule (3 matrix products) and its n_sub-th power by
+binary powering, in H's storage plus two buffers (3 x 16 dim^2 bytes),
+then advances each sample with one matrix-vector product; dt, n_sub and
+the truncation error are those of the step-by-step loop.  One code path
+serves mode and site space, the effective and the full model.  The
+O(dim^3) products pay for themselves at the presets' sizes (N <= 253);
+at N = 1001 a fig5-like cell took 1.2 s against 0.18 s for stepping the
+structured H (one BLAS thread).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -24,71 +28,93 @@ import numpy as np
 USING_COMPILED = False
 
 
-def _rhs_mode(atom_block, coupling, diag, psi, na):
-    out = np.empty_like(psi)
-    a = psi[:na]
-    ph = psi[na:]
-    out[:na] = atom_block @ a + coupling @ ph
-    out[na:] = diag * ph + coupling.T @ a
-    return -1j * out
+def _rk4_step_matrix(h: np.ndarray, dt: float, buf1: np.ndarray, buf2: np.ndarray) -> np.ndarray:
+    """P(-i dt H) by Horner's rule, left in buf2; h is overwritten with -i dt H."""
+    diag = slice(None, None, h.shape[0] + 1)
+    z = h
+    z *= -1j * dt
+    np.divide(z, 4.0, out=buf1)
+    buf1.flat[diag] += 1.0  # 1 + z/4
+    np.matmul(z, buf1, out=buf2)
+    buf2 /= 3.0
+    buf2.flat[diag] += 1.0  # 1 + z/3 (1 + z/4)
+    np.matmul(z, buf2, out=buf1)
+    buf1 /= 2.0
+    buf1.flat[diag] += 1.0  # 1 + z/2 (1 + z/3 (1 + z/4))
+    np.matmul(z, buf1, out=buf2)
+    buf2.flat[diag] += 1.0
+    return buf2
 
 
-def _rhs_site(atom_block, coupling, omega0, xi, psi, na):
-    out = np.empty_like(psi)
-    a = psi[:na]
-    ph = psi[na:]
-    out[:na] = atom_block @ a + coupling @ ph
-    out[na:] = omega0 * ph - xi * (np.roll(ph, 1) + np.roll(ph, -1)) + coupling.T @ a
-    return -1j * out
+def _matrix_power(m: np.ndarray, n: int, buf1: np.ndarray, buf2: np.ndarray) -> np.ndarray:
+    """m^n for n >= 1 by binary powering in m, buf1 and buf2, all of which it may overwrite.
+
+    Returns the one of the three arrays that holds the result.
+    """
+    result, spare = None, [buf1, buf2]
+    while True:
+        if n & 1:
+            out = spare.pop()
+            if result is None:
+                np.copyto(out, m)
+            else:
+                np.matmul(result, m, out=out)
+                spare.append(result)
+            result = out
+        n >>= 1
+        if n == 0:
+            return result
+        out = spare.pop()
+        np.matmul(m, m, out=out)
+        spare.append(m)
+        m = out
 
 
 def rk4_schrodinger(
-    atom_block: np.ndarray,
-    coupling: np.ndarray,
-    photon_diag: np.ndarray | None,
-    omega0: float,
-    xi: float,
+    h: np.ndarray,
+    na: int,
     psi0: np.ndarray,
     dt: float,
     n_sub: int,
     n_samples: int,
     norm_tol: float = 0.0,
 ):
-    """Propagate psi0, sampling every n_sub steps (sample 0 is psi0).
+    """Propagate psi0 under the dense complex H, sampling every n_sub steps (sample 0 is psi0).
 
-    Returns (atom_samples, norm2_samples, psi_final).  If ``norm_tol`` > 0,
-    raises RuntimeError as soon as a single step grows the norm^2 by more
-    than norm_tol (used for the kappa = 0 sanity check).
+    ``h`` is overwritten.  Returns (atom_samples, norm2_samples, psi_final,
+    build_s), where atom_samples holds the first ``na`` amplitudes and
+    build_s is the time spent building the propagation matrix.  If
+    ``norm_tol`` > 0, psi advances one RK4 step at a time and RuntimeError
+    is raised as soon as a single step grows the norm^2 by more than
+    norm_tol (used for the kappa = 0 sanity check).
     """
-    na = atom_block.shape[0]
-    psi = psi0.astype(complex).copy()
+    t0 = time.perf_counter()
+    buf1, buf2 = np.empty_like(h), np.empty_like(h)
+    step = _rk4_step_matrix(h, dt, buf1, buf2)
+    if norm_tol > 0.0:
+        reps = n_sub
+    else:
+        reps = 1
+        step = _matrix_power(step, n_sub, h, buf1)
+    build_s = time.perf_counter() - t0
+
+    psi = psi0.astype(complex)
     atom_out = np.empty((n_samples, na), dtype=complex)
     norm_out = np.empty(n_samples, dtype=float)
-    if photon_diag is not None:
-        rhs = lambda p: _rhs_mode(atom_block, coupling, photon_diag, p, na)
-    else:
-        rhs = lambda p: _rhs_site(atom_block, coupling, omega0, xi, p, na)
-
     atom_out[0] = psi[:na]
-    norm_out[0] = float(np.vdot(psi, psi).real)
-    prev_norm = norm_out[0]
+    norm_out[0] = prev_norm = float(np.vdot(psi, psi).real)
     for i in range(1, n_samples):
-        for _ in range(n_sub):
-            k1 = rhs(psi)
-            k2 = rhs(psi + 0.5 * dt * k1)
-            k3 = rhs(psi + 0.5 * dt * k2)
-            k4 = rhs(psi + dt * k3)
-            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if norm_tol > 0.0:
-                cur = float(np.vdot(psi, psi).real)
-                if cur > prev_norm * (1.0 + norm_tol):
-                    raise RuntimeError(
-                        f"norm^2 grew by {cur / prev_norm - 1.0:.3e} in one step"
-                    )
-                prev_norm = cur
+        for _ in range(reps):
+            psi = step @ psi
+            cur = float(np.vdot(psi, psi).real)
+            if norm_tol > 0.0 and cur > prev_norm * (1.0 + norm_tol):
+                raise RuntimeError(
+                    f"norm^2 grew by {cur / prev_norm - 1.0:.3e} in one step"
+                )
+            prev_norm = cur
         atom_out[i] = psi[:na]
-        norm_out[i] = float(np.vdot(psi, psi).real)
-    return atom_out, norm_out, psi
+        norm_out[i] = prev_norm
+    return atom_out, norm_out, psi, build_s
 
 
 def rk4_lindblad(

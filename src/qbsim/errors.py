@@ -48,7 +48,8 @@ class NoConvergence(QbsimError):
 
 
 class StepSizeTooLarge(QbsimError):
-    """RK4 norm growth at kappa=0 exceeded the per-step tolerance."""
+    """RK4 norm^2 grew beyond tolerance: in one step at kappa=0, or over the trajectory
+    (or to a non-finite value) at kappa > 0."""
 
 
 class IndexOutOfRange(QbsimError):

@@ -8,6 +8,7 @@ the ergotropy is evaluated, matching the Lindblad sink.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -73,25 +74,27 @@ def battery_hamiltonian(params: SystemParams) -> np.ndarray:
     return h
 
 
-def _battery_from_amplitudes(atom_amps: np.ndarray, params: SystemParams, model: str, t: float) -> BatteryState:
-    """Reduced state from the atom amplitudes of a single-excitation ket.
+def _battery_rho(atom_amps: np.ndarray, params: SystemParams, model: str) -> np.ndarray:
+    """Reduced state(s) from the atom amplitudes of a single-excitation ket.
 
     Tracing out the cavity kills every coherence between the atom-excited
     block and the ground level (the photon states are orthogonal to the
     vacuum), so rho_B is the excited-block outer product plus all the
-    remaining weight on |g><g|.
+    remaining weight on |g><g|.  Leading axes of ``atom_amps`` (samples)
+    are kept: shape (..., na) gives (..., 4, 4).
     """
     if model == "effective":
-        bare = complex(atom_amps[0]) * dark_state_vector(params)
+        bare = atom_amps[..., :1] * dark_state_vector(params)
     else:
         bare = np.asarray(atom_amps, dtype=complex)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1:, 1:] = np.outer(bare, bare.conj())
-    excited = float(np.real(np.trace(rho[1:, 1:])))
-    rho[0, 0] = 1.0 - excited
-    if np.trace(rho).real <= 0.0:
-        raise NotNormalizable(f"trace {np.trace(rho).real} <= 0")
-    return BatteryState(rho=rho, time=t)
+    rho = np.zeros(bare.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., 1:, 1:] = bare[..., :, None] * bare[..., None, :].conj()
+    excited = np.trace(rho[..., 1:, 1:], axis1=-2, axis2=-1).real
+    rho[..., 0, 0] = 1.0 - excited
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(trace <= 0.0):
+        raise NotNormalizable(f"trace {trace.min()} <= 0")
+    return rho
 
 
 def reduce_battery(psi, params: SystemParams, t: float = 0.0) -> BatteryState:
@@ -100,18 +103,18 @@ def reduce_battery(psi, params: SystemParams, t: float = 0.0) -> BatteryState:
     Photon population and any norm already lost to dissipation both land
     on |g><g|.
     """
-    return _battery_from_amplitudes(np.atleast_1d(psi.atom), params, psi.model, t)
+    return BatteryState(rho=_battery_rho(np.atleast_1d(psi.atom), params, psi.model), time=t)
 
 
 def _passive_populations(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of rho, in descending order."""
-    return np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1]
+    """Eigenvalues of the Hermitian part of rho (stacked over leading axes), in descending order."""
+    return np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)))[..., ::-1]
 
 
-def _work(rho: np.ndarray, h_battery: np.ndarray, eps: np.ndarray) -> float:
-    """tr(rho H) - r . eps, with eps the ascending eigenvalues of H."""
-    active = float(np.real(np.trace(rho @ h_battery)))
-    return active - float(np.dot(_passive_populations(rho), eps))
+def _work(rho: np.ndarray, h_battery: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """tr(rho H) - r . eps per stacked rho, with eps the ascending eigenvalues of H."""
+    active = np.trace(rho @ h_battery, axis1=-2, axis2=-1).real
+    return active - _passive_populations(rho) @ eps
 
 
 def passive_state(rho: BatteryState, h_battery: np.ndarray) -> BatteryState:
@@ -129,7 +132,7 @@ def passive_state(rho: BatteryState, h_battery: np.ndarray) -> BatteryState:
 
 def ergotropy(rho: BatteryState, h_battery: np.ndarray) -> float:
     """W = tr(rho H) - tr(passive(rho) H); nonnegative by construction."""
-    return _work(rho.rho, h_battery, np.linalg.eigvalsh(h_battery))
+    return float(_work(rho.rho, h_battery, np.linalg.eigvalsh(h_battery)))
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,7 @@ def ergotropy_trace(scenario: ChargingScenario, t_grid: np.ndarray) -> Ergotropy
     params = scenario.params
     series = evolve(scenario.initial_state(), np.asarray(t_grid, dtype=float), params)
     h_b = battery_hamiltonian(params)
-    eps = np.linalg.eigvalsh(h_b)
-    work = np.empty(len(series.times))
-    for i, t in enumerate(series.times):
-        state = _battery_from_amplitudes(series.atom_amps[i], params, scenario.model, t)
-        work[i] = _work(state.rho, h_b, eps)
+    work = _work(_battery_rho(series.atom_amps, params, scenario.model), h_b, np.linalg.eigvalsh(h_b))
     power = np.zeros_like(work)
     power[1:] = work[1:] / series.times[1:]
     imax = int(np.argmax(work))
@@ -193,6 +192,31 @@ def _sweep_cell(args) -> tuple[int, int, float, str]:
         return i, j, float("nan"), str(exc)
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per sweep worker, as the workers already fill the cores.
+
+    Calls the thread setters of the OpenBLAS builds bundled with numpy and
+    scipy, found in /proc/self/maps; does nothing where the file, a library
+    or a setter is missing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+
+
 def sweep_ergotropy(
     omega0_grid,
     xi_grid,
@@ -204,8 +228,8 @@ def sweep_ergotropy(
 ) -> SweepResult:
     """W_max(omega0, xi) over the grid within the window [0, t_max].
 
-    Cells run in parallel processes; a failing cell records NaN plus its
-    error message instead of aborting the sweep.
+    Cells run in parallel processes, each with one BLAS thread; a failing
+    cell records NaN plus its error message instead of aborting the sweep.
     """
     omega0_grid = np.asarray(omega0_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -215,7 +239,8 @@ def sweep_ergotropy(
             tasks.append((i, j, params_base, float(om0), float(xi), photon_site, t_max, nt))
     w = np.full((len(omega0_grid), len(xi_grid)), np.nan)
     errors: dict = {}
-    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers is None or n_workers > 1 else None
+    pool = (ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread)
+            if n_workers is None or n_workers > 1 else None)
     with pool or nullcontext():
         cells = map(_sweep_cell, tasks) if pool is None else pool.map(_sweep_cell, tasks, chunksize=8)
         for i, j, val, err in cells:

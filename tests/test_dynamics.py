@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qbsim import atom_eigensystem_exact, effective_hamiltonian
+from qbsim import atom_eigensystem_exact, dynamics, effective_hamiltonian
 from qbsim.dynamics import (
     dark_population,
     evolve,
     initial_state_atom_m,
     initial_state_photon_at_site,
 )
-from qbsim.errors import IndexOutOfRange, OutOfRange
+from qbsim.errors import IndexOutOfRange, OutOfRange, StepSizeTooLarge
 
 
 class TestInitialStates:
@@ -103,6 +103,30 @@ class TestEvolve:
         full = evolve(initial_state_photon_at_site(0, fig3a_params, "full", "mode"),
                       t_grid, fig3a_params)
         assert np.max(np.abs(eff.p_dark - full.p_dark)) <= 0.02
+
+    def test_debug_log_names_the_steps(self, fig3a_params, caplog):
+        caplog.set_level("DEBUG", logger="qbsim.dynamics")
+        evolve(initial_state_photon_at_site(0, fig3a_params, "full", "site"),
+               np.linspace(0, 1, 11), fig3a_params)
+        (record,) = caplog.records
+        assert record.name == "qbsim.dynamics"
+        assert record.getMessage().startswith("evolve full/site: dim 256, n_sub ")
+        assert "RK4 steps; matrix " in record.getMessage()
+
+
+class TestStepSizeTooLarge:
+    # STEP_FACTOR = 5 makes each RK4 step 250 times too long: the norm grows.
+    def test_kappa_zero_names_the_step(self, fig3a_params, monkeypatch):
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        p = fig3a_params.replace(kappa=0.0)
+        with pytest.raises(StepSizeTooLarge, match=r"grew by 2\.027e\+01 in one step"):
+            evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
+
+    def test_kappa_positive(self, fig3a_params, monkeypatch):
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        with pytest.raises(StepSizeTooLarge):
+            evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
+                   np.linspace(0, 20, 11), fig3a_params)
 
 
 class TestDarkPopulation:

@@ -1,15 +1,18 @@
+import ctypes
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsim import SystemParams, atom_eigensystem_exact, dark_state_vector
-from qbsim.dynamics import WaveFunction, initial_state_photon_at_site
+from qbsim import SystemParams, atom_eigensystem_exact, dark_state_vector, dynamics
+from qbsim.dynamics import WaveFunction, evolve, initial_state_photon_at_site
 from qbsim.thermo import (
     BatteryState,
     ChargingScenario,
+    _one_blas_thread,
     battery_hamiltonian,
     ergotropy,
     ergotropy_trace,
@@ -194,6 +197,20 @@ class TestErgotropyTrace:
                                 np.linspace(0, 15, 601))
         assert trace.work[1] <= 1e-4 * trace.w_max
 
+    @pytest.mark.parametrize("model", ["effective", "full"])
+    def test_batched_work_matches_per_sample(self, charger_params, model):
+        scenario = ChargingScenario(params=charger_params, photon_site=1, model=model)
+        t_grid = np.linspace(0, 3, 31)
+        trace = ergotropy_trace(scenario, t_grid)
+        series = evolve(scenario.initial_state(), t_grid, charger_params)
+        h_b = battery_hamiltonian(charger_params)
+        per_sample = [
+            ergotropy(reduce_battery(WaveFunction(amps, np.zeros(0), "site", model), charger_params), h_b)
+            for amps in series.atom_amps
+        ]
+        assert np.max(np.abs(trace.work - per_sample)) <= 1e-13
+        assert trace.w_max > 0.01  # the window charges
+
     def test_power_definition(self, charger_params):
         trace = ergotropy_trace(ChargingScenario(params=charger_params, photon_site=1),
                                 np.linspace(0, 10, 201))
@@ -218,3 +235,42 @@ class TestSweep:
         assert np.isnan(res.w_max[0, 0])
         assert np.isfinite(res.w_max[0, 1])
         assert (0, 0) in res.errors
+
+    def test_unstable_step_recorded_not_raised(self, charger_params, monkeypatch):
+        # A step 250 times too long makes the norm grow at kappa > 0.
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        res = sweep_ergotropy([21.2], [1.0, 2.2], charger_params, t_max=15.0, nt=4, n_workers=1)
+        assert np.all(np.isnan(res.w_max))
+        assert sorted(res.errors) == [(0, 0), (0, 1)]
+        assert all("norm^2 grew" in err for err in res.errors.values())
+
+
+def _openblas_thread_counts() -> list[int]:
+    """Threads reported by each loaded OpenBLAS bundled with numpy or scipy."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    counts = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(handle, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+    return counts
+
+
+def test_sweep_workers_use_one_blas_thread():
+    if not _openblas_thread_counts():
+        pytest.skip("no OpenBLAS thread-count symbol found")
+    pool = ProcessPoolExecutor(max_workers=2, initializer=_one_blas_thread)
+    try:
+        futures = [pool.submit(_openblas_thread_counts) for _ in range(2)]
+        reports = [f.result(timeout=60) for f in futures]
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert all(counts and set(counts) == {1} for counts in reports)
