@@ -13,25 +13,35 @@ sector then obeys a closed equation identical to the non-Hermitian pure
 state, so P_E1(t) matches the Schrodinger result up to integrator error.
 A pure-dephasing channel sqrt(kappa)|0,d><0,d| is available behind the
 ``collapse`` switch.
+
+``lindblad_evolve`` keeps the sampled atom block, the traces and the
+final state (every sampled rho, nt x dim^2 complex values, only when
+asked) and logs each call's collapse model, dim, n_sub, dt, step count,
+trace drift and propagation time to the ``qbsim.lindblad`` logger at DEBUG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .dynamics import TimeSeries, WaveFunction, check_time_grid, step_rule
-from .errors import TraceDrift
+from .errors import StepSizeTooLarge, TraceDrift
 from .model import assemble_hamiltonian, dark_state_vector, hamiltonian_blocks
 from .params import SystemParams
 
-__all__ = ["DensityMatrix", "lindblad_evolve", "initial_density_matrix", "population_report"]
+__all__ = ["DensityMatrix", "LindbladSeries", "lindblad_evolve", "initial_density_matrix",
+           "population_report"]
 
 #: Basis index of the |0,g> sink; atom levels d, e, m follow, then sites.
 SINK, D_IDX, E_IDX, M_IDX = 0, 1, 2, 3
 TRACE_TOL = 1e-6
+
+logger = logging.getLogger("qbsim.lindblad")
 
 
 @dataclass
@@ -61,6 +71,14 @@ class DensityMatrix:
         return float(np.real(dark.conj() @ block @ dark))
 
 
+@dataclass
+class LindbladSeries(TimeSeries):
+    """A ``TimeSeries`` from ``lindblad_evolve``: the final state and, if asked, every sampled rho."""
+
+    final_rho: DensityMatrix = field(kw_only=True, repr=False)
+    rho_samples: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+
+
 def _full_hermitian_hamiltonian(params: SystemParams) -> np.ndarray:
     """Hermitian single-excitation Hamiltonian, site space: an empty sink row and column, then
     the real part of the full model (exact: omega_d_real - i*kappa/2 is its only complex entry)."""
@@ -86,13 +104,15 @@ def lindblad_evolve(
     t_grid: np.ndarray,
     params: SystemParams,
     collapse: str = "jump_to_ground",
-) -> TimeSeries:
+    keep_samples: bool = False,
+) -> LindbladSeries:
     """Propagate drho/dt = -i[H, rho] + D[L]rho and record P_E1(t).
 
     RK4 with the same step rule as the Schrodinger side (``step_rule``
-    over the coupled diagonal: the atom levels and omega0) and
-    re-Hermitization each step.
-    Raises TraceDrift if |tr rho - 1| exceeds 1e-6 at any sample.
+    over the coupled diagonal: the atom levels and omega0).  The result
+    holds the final state; ``keep_samples`` also keeps every sampled rho.
+    Raises StepSizeTooLarge if tr rho stops being finite and TraceDrift
+    if |tr rho - 1| exceeds 1e-6 at any sample.
     """
     if collapse not in ("jump_to_ground", "dephasing"):
         raise ValueError(f"unknown collapse model {collapse!r}")
@@ -107,7 +127,8 @@ def lindblad_evolve(
     h_shift = h - centroid * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
 
-    rho_samples, traces = _kernels.rk4_lindblad(
+    t0 = time.perf_counter()
+    block, traces, rho_final, rho_samples = _kernels.rk4_lindblad(
         h_shift,
         params.kappa,
         D_IDX,
@@ -117,25 +138,29 @@ def lindblad_evolve(
         n_sub,
         len(t_grid),
         collapse == "dephasing",
+        keep_samples=keep_samples,
     )
     drift = np.max(np.abs(traces - traces[0]))
+    logger.debug(
+        "lindblad_evolve %s: dim %d, n_sub %d, dt %.4g, %d RK4 steps, trace drift %.3e; propagation %.4f s",
+        collapse, h.shape[0], n_sub, dt, n_sub * (len(t_grid) - 1), drift, time.perf_counter() - t0)
+    if not np.all(np.isfinite(traces)):
+        raise StepSizeTooLarge(f"tr rho became non-finite with RK4 step dt = {dt:.4g}")
     if drift > TRACE_TOL:
         raise TraceDrift(f"|tr rho - 1| reached {drift:.3e}")
 
     dark = dark_state_vector(params)
-    block = rho_samples[:, D_IDX : M_IDX + 1, D_IDX : M_IDX + 1]
     p_dark = np.real(np.einsum("i,tij,j->t", dark.conj(), block, dark))
     atom_diag = np.real(np.einsum("tii->ti", block))
-    series = TimeSeries(
+    return LindbladSeries(
         times=t_grid,
         p_dark=np.clip(p_dark, 0.0, None),
         norm2=traces,
         atom_amps=atom_diag,
         model="lindblad",
+        final_rho=DensityMatrix(rho_final, params),
+        rho_samples=rho_samples,
     )
-    # Every sampled state rides along for population reports and positivity checks.
-    series.rho_samples = rho_samples  # type: ignore[attr-defined]
-    return series
 
 
 def population_report(rho: DensityMatrix) -> dict[str, float]:

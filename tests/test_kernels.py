@@ -1,11 +1,15 @@
-"""The precomputed-matrix Schrodinger kernel against the step-by-step RK4 loop.
+"""The kernels against the step-by-step RK4 loops they replaced.
 
-``_reference_rk4`` is the loop the kernel replaced: four right-hand-side
+``_reference_rk4`` is the Schrodinger loop: four right-hand-side
 evaluations per step on the structured Hamiltonian (atom block, coupling
 rows, and the photon diagonal in mode space or the cyclic omega0, -xi
 chain in site space).  Applying one RK4 step to a linear ODE is the same
 polynomial in dt*H as the kernel's step matrix, so the two agree up to
 rounding.
+
+``_reference_rk4_lindblad`` is the dense k1..k4 master-equation loop,
+re-Hermitized after every step.  The kernel's four Horner stages are the
+same polynomial in dt*L, so the samples agree up to rounding too.
 """
 
 import numpy as np
@@ -14,6 +18,14 @@ import pytest
 from qbsim import effective_hamiltonian
 from qbsim._kernels import _matrix_power, _rk4_step_matrix
 from qbsim.dynamics import check_time_grid, evolve, initial_state_photon_at_site, step_rule
+from qbsim.lindblad import (
+    D_IDX,
+    SINK,
+    DensityMatrix,
+    _full_hermitian_hamiltonian,
+    initial_density_matrix,
+    lindblad_evolve,
+)
 from qbsim.model import hamiltonian_blocks
 
 
@@ -95,3 +107,70 @@ def test_three_buffer_power_matches_numpy(fig3a_params, n):
     expected = np.linalg.matrix_power(step, n)
     got = _matrix_power(step.copy(), n, np.empty_like(h), np.empty_like(h))
     assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub, n_samples, dephasing=False):
+    """Step-by-step dense RK4 of the master equation; returns (rho_samples, trace_samples)."""
+    dim = h_real.shape[0]
+    rho = rho0.astype(complex).copy()
+    rho_out = np.empty((n_samples, dim, dim), dtype=complex)
+    tr_out = np.empty(n_samples, dtype=float)
+
+    def rhs(r):
+        hr = h_real @ r
+        out = -1j * (hr - hr.conj().T)
+        if kappa != 0.0:
+            half = 0.5 * kappa
+            dd = r[d_index, d_index]
+            out[d_index, :] -= half * r[d_index, :]
+            out[:, d_index] -= half * r[:, d_index]
+            if dephasing:
+                out[d_index, d_index] += kappa * dd
+            else:
+                out[sink_index, sink_index] += kappa * dd
+        return out
+
+    rho_out[0] = rho
+    tr_out[0] = float(np.trace(rho).real)
+    for i in range(1, n_samples):
+        for _ in range(n_sub):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        rho_out[i] = rho
+        tr_out[i] = float(np.trace(rho).real)
+    return rho_out, tr_out
+
+
+def _reference_lindblad_evolve(rho0, t_grid, params, collapse):
+    """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, through the loop."""
+    t_grid, dt_grid = check_time_grid(t_grid)
+    h = _full_hermitian_hamiltonian(params)
+    centroid, n_sub, dt = step_rule(np.diag(h).real[D_IDX:], dt_grid)
+    h_shift = h - centroid * np.eye(h.shape[0])
+    h_shift[SINK, SINK] = 0.0
+    return _reference_rk4_lindblad(h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid),
+                                   collapse == "dephasing")
+
+
+@pytest.mark.parametrize("kappa_zero", [True, False], ids=["kappa0", "kappa"])
+@pytest.mark.parametrize("collapse", ["jump_to_ground", "dephasing"])
+def test_lindblad_matches_step_by_step_rk4(fig3a_params, collapse, kappa_zero):
+    p = fig3a_params.replace(n_cavities=21)
+    p = p.replace(kappa=0.0) if kappa_zero else p
+    rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
+    t_grid = np.linspace(0.0, 2.0, 21)
+    kept = lindblad_evolve(rho0, t_grid, p, collapse, keep_samples=True)
+    rho_ref, tr_ref = _reference_lindblad_evolve(rho0, t_grid, p, collapse)
+    assert np.max(np.abs(kept.rho_samples - rho_ref)) <= 1e-12
+    assert np.max(np.abs(kept.norm2 - tr_ref)) <= 1e-12
+    for rho in kept.rho_samples:
+        assert DensityMatrix(rho, p).hermiticity_defect() == 0.0
+    # Without keep_samples only the final state is kept, and it is the same one.
+    lean = lindblad_evolve(rho0, t_grid, p, collapse)
+    assert lean.rho_samples is None
+    assert np.array_equal(lean.final_rho.rho, kept.rho_samples[-1])
+    assert np.array_equal(lean.p_dark, kept.p_dark)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qbsim import dynamics
 from qbsim.dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
+from qbsim.errors import StepSizeTooLarge
 from qbsim.lindblad import (
     DensityMatrix,
     initial_density_matrix,
@@ -34,7 +36,7 @@ def test_jump_to_ground_equals_non_hermitian(small_params):
     lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p)
     assert np.max(np.abs(lb.p_dark - nh.p_dark)) <= 1e-6
     # and the full excited block, not just the dark projection
-    rho_t = lb.rho_samples[-1]
+    rho_t = lb.final_rho.rho
     psi_t = np.concatenate([nh.final_state.atom, nh.final_state.photon])
     block = rho_t[1:, 1:]
     assert np.max(np.abs(block - np.outer(psi_t, psi_t.conj()))) <= 1e-8
@@ -44,7 +46,7 @@ def test_trace_preserved_and_positive(small_params):
     p = small_params
     psi0 = initial_state_photon_at_site(0, p, "full", "site")
     t_grid = np.linspace(0, 50, 501)
-    lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p)
+    lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p, keep_samples=True)
     assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-8
     for idx in np.linspace(0, len(t_grid) - 1, 10, dtype=int):
         dm = DensityMatrix(lb.rho_samples[idx], p)
@@ -62,7 +64,7 @@ def test_population_report(small_params):
 
     t_grid = np.linspace(0, 40, 401)
     lb = lindblad_evolve(rho0, t_grid, p)
-    rep_t = population_report(DensityMatrix(lb.rho_samples[-1], p))
+    rep_t = population_report(lb.final_rho)
     assert sum(rep_t.values()) == pytest.approx(1.0, abs=1e-8)
     assert rep_t["ground_vacuum"] > 0.0  # dissipation populated the sink
 
@@ -75,7 +77,7 @@ def test_sink_collects_everything_at_strong_decay(small_params):
     psi0 = initial_state_atom_m(p, "full")
     t_grid = np.linspace(0, 60, 601)
     lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p)
-    rep = population_report(DensityMatrix(lb.rho_samples[-1], p))
+    rep = population_report(lb.final_rho)
     assert rep["ground_vacuum"] > 0.99
 
 
@@ -86,7 +88,7 @@ def test_dephasing_variant_preserves_trace(small_params):
     lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p, collapse="dephasing")
     assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-8
     # dephasing keeps the excitation: no sink population
-    rep = population_report(DensityMatrix(lb.rho_samples[-1], p))
+    rep = population_report(lb.final_rho)
     assert rep["ground_vacuum"] <= 1e-10
 
 
@@ -106,3 +108,24 @@ def test_bad_time_grid_rejected(small_params, propagate, t_grid, message):
             evolve(psi0, t_grid, p)
         else:
             lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p)
+
+
+def test_non_finite_trace_names_the_step(small_params, monkeypatch):
+    # STEP_FACTOR = 5 makes each RK4 step 250 times too long: rho overflows to NaN.
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+    psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepSizeTooLarge, match=r"non-finite with RK4 step dt = 0\.5882"):
+            lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 200, 11), small_params)
+
+
+def test_debug_log_names_the_steps(small_params, caplog):
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
+    lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params,
+                    collapse="dephasing")
+    (record,) = caplog.records
+    assert record.name == "qbsim.lindblad"
+    assert record.getMessage().startswith("lindblad_evolve dephasing: dim 25, n_sub ")
+    assert "RK4 steps, trace drift " in record.getMessage()
+    assert "; propagation " in record.getMessage()
