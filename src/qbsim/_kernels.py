@@ -28,8 +28,7 @@ chain plus the atom block and two couplings, about 3 dim nonzeros, so a
 stage costs O(nnz dim) instead of a dense O(dim^3) product.  Each stage
 adds M to its own conjugate transpose, so every stage is exactly
 Hermitian and no re-Hermitization is needed.  Only the sampled atom
-block, the traces and the final rho are stored unless every sample is
-asked for.
+block, the traces and the final rho are stored.
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ def rk4_lindblad(
     n_sub: int,
     n_samples: int,
     dephasing: bool = False,
-    keep_samples: bool = False,
 ):
     """Propagate the master equation with jump sqrt(kappa)|sink><d|, sampling every n_sub steps.
 
@@ -151,11 +149,9 @@ def rk4_lindblad(
     -i[H, rho] + kappa (Pd rho Pd - (1/2){Pd, rho}) when ``dephasing``.
     The atom levels (d, e, m) are d_index .. d_index + 2.
 
-    Returns (atom_samples, trace_samples, rho_final, rho_samples): the
-    sampled 3 x 3 atom block, tr rho, the last state and, only when
-    ``keep_samples``, every sampled rho (else None).
+    Returns (atom_samples, trace_samples, rho_final): the sampled 3 x 3
+    atom block, tr rho and the last state.
     """
-    dim = h_real.shape[0]
     jump = d_index if dephasing else sink_index
     h_eff = h_real.astype(complex)
     h_eff[d_index, d_index] -= 0.5j * kappa
@@ -167,13 +163,10 @@ def rk4_lindblad(
     atom = slice(d_index, d_index + 3)
     atom_out = np.empty((n_samples, 3, 3), dtype=complex)
     tr_out = np.empty(n_samples, dtype=float)
-    rho_out = np.empty((n_samples, dim, dim), dtype=complex) if keep_samples else None
 
     def record(i):
         atom_out[i] = rho[atom, atom]
         tr_out[i] = float(np.trace(rho).real)
-        if rho_out is not None:
-            rho_out[i] = rho
 
     record(0)
     for i in range(1, n_samples):
@@ -189,4 +182,4 @@ def rk4_lindblad(
                 src = r
             rho, r = r, rho
         record(i)
-    return atom_out, tr_out, rho, rho_out
+    return atom_out, tr_out, rho

@@ -14,10 +14,8 @@ state, so P_E1(t) matches the Schrodinger result up to integrator error.
 A pure-dephasing channel sqrt(kappa)|0,d><0,d| is available behind the
 ``collapse`` switch.
 
-``lindblad_evolve`` keeps the sampled atom block, the traces and the
-final state (every sampled rho, nt x dim^2 complex values, only when
-asked) and logs each call's collapse model, dim, n_sub, dt, step count,
-trace drift and propagation time to the ``qbsim.lindblad`` logger at DEBUG.
+``lindblad_evolve`` logs each call's collapse model, dim, n_sub, dt, step
+count, trace drift and propagation time to ``qbsim.lindblad`` at DEBUG.
 """
 
 from __future__ import annotations
@@ -73,10 +71,9 @@ class DensityMatrix:
 
 @dataclass
 class LindbladSeries(TimeSeries):
-    """A ``TimeSeries`` from ``lindblad_evolve``: the final state and, if asked, every sampled rho."""
+    """A ``TimeSeries`` from ``lindblad_evolve`` with the final density matrix."""
 
     final_rho: DensityMatrix = field(kw_only=True, repr=False)
-    rho_samples: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
 
 def _full_hermitian_hamiltonian(params: SystemParams) -> np.ndarray:
@@ -104,13 +101,12 @@ def lindblad_evolve(
     t_grid: np.ndarray,
     params: SystemParams,
     collapse: str = "jump_to_ground",
-    keep_samples: bool = False,
 ) -> LindbladSeries:
     """Propagate drho/dt = -i[H, rho] + D[L]rho and record P_E1(t).
 
     RK4 with the same step rule as the Schrodinger side (``step_rule``
     over the coupled diagonal: the atom levels and omega0).  The result
-    holds the final state; ``keep_samples`` also keeps every sampled rho.
+    holds the final state.
     Raises StepSizeTooLarge if tr rho stops being finite and TraceDrift
     if |tr rho - 1| exceeds 1e-6 at any sample.
     """
@@ -128,7 +124,7 @@ def lindblad_evolve(
     h_shift[SINK, SINK] = 0.0
 
     t0 = time.perf_counter()
-    block, traces, rho_final, rho_samples = _kernels.rk4_lindblad(
+    block, traces, rho_final = _kernels.rk4_lindblad(
         h_shift,
         params.kappa,
         D_IDX,
@@ -138,7 +134,6 @@ def lindblad_evolve(
         n_sub,
         len(t_grid),
         collapse == "dephasing",
-        keep_samples=keep_samples,
     )
     drift = np.max(np.abs(traces - traces[0]))
     logger.debug(
@@ -159,7 +154,6 @@ def lindblad_evolve(
         atom_amps=atom_diag,
         model="lindblad",
         final_rho=DensityMatrix(rho_final, params),
-        rho_samples=rho_samples,
     )
 
 

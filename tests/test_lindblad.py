@@ -4,12 +4,7 @@ import pytest
 from qbsim import dynamics
 from qbsim.dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
 from qbsim.errors import StepSizeTooLarge
-from qbsim.lindblad import (
-    DensityMatrix,
-    initial_density_matrix,
-    lindblad_evolve,
-    population_report,
-)
+from qbsim.lindblad import initial_density_matrix, lindblad_evolve, population_report
 
 
 @pytest.fixture
@@ -46,10 +41,14 @@ def test_trace_preserved_and_positive(small_params):
     p = small_params
     psi0 = initial_state_photon_at_site(0, p, "full", "site")
     t_grid = np.linspace(0, 50, 501)
-    lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p, keep_samples=True)
-    assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-8
-    for idx in np.linspace(0, len(t_grid) - 1, 10, dtype=int):
-        dm = DensityMatrix(lb.rho_samples[idx], p)
+    # Ten checkpoints: each segment restarts from the last final_rho on the
+    # same grid spacing, so dt and n_sub are those of one run over t_grid.
+    dm = initial_density_matrix(psi0, p)
+    checkpoints = np.linspace(0, len(t_grid) - 1, 10, dtype=int)
+    for start, stop in zip(checkpoints[:-1], checkpoints[1:]):
+        lb = lindblad_evolve(dm, t_grid[: stop - start + 1], p)
+        assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-8
+        dm = lb.final_rho
         assert dm.min_eigenvalue() >= -1e-8
         assert dm.hermiticity_defect() <= 1e-10
 
