@@ -108,7 +108,7 @@ def lindblad_evolve(
     over the coupled diagonal: the atom levels and omega0).  The result
     holds the final state.
     Raises StepSizeTooLarge if tr rho stops being finite and TraceDrift
-    if |tr rho - 1| exceeds 1e-6 at any sample.
+    if |tr rho - 1| exceeds 1e-6 at any sample; both name dt and n_sub.
     """
     if collapse not in ("jump_to_ground", "dephasing"):
         raise ValueError(f"unknown collapse model {collapse!r}")
@@ -124,25 +124,28 @@ def lindblad_evolve(
     h_shift[SINK, SINK] = 0.0
 
     t0 = time.perf_counter()
-    block, traces, rho_final = _kernels.rk4_lindblad(
-        h_shift,
-        params.kappa,
-        D_IDX,
-        SINK,
-        rho0.rho,
-        dt,
-        n_sub,
-        len(t_grid),
-        collapse == "dephasing",
-    )
+    # An unstable step overflows rho; the trace checks below report it as a typed error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        block, traces, rho_final = _kernels.rk4_lindblad(
+            h_shift,
+            params.kappa,
+            D_IDX,
+            SINK,
+            rho0.rho,
+            dt,
+            n_sub,
+            len(t_grid),
+            collapse == "dephasing",
+        )
     drift = np.max(np.abs(traces - traces[0]))
     logger.debug(
         "lindblad_evolve %s: dim %d, n_sub %d, dt %.4g, %d RK4 steps, trace drift %.3e; propagation %.4f s",
         collapse, h.shape[0], n_sub, dt, n_sub * (len(t_grid) - 1), drift, time.perf_counter() - t0)
+    step = f"RK4 step dt = {dt:.4g}, n_sub = {n_sub}"
     if not np.all(np.isfinite(traces)):
-        raise StepSizeTooLarge(f"tr rho became non-finite with RK4 step dt = {dt:.4g}")
+        raise StepSizeTooLarge(f"tr rho became non-finite with {step}")
     if drift > TRACE_TOL:
-        raise TraceDrift(f"|tr rho - 1| reached {drift:.3e}")
+        raise TraceDrift(f"|tr rho - 1| reached {drift:.3e} with {step}")
 
     dark = dark_state_vector(params)
     p_dark = np.real(np.einsum("i,tij,j->t", dark.conj(), block, dark))

@@ -9,7 +9,7 @@ kappa > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,18 +56,12 @@ class AtomEigensystem:
     """Eigen-decomposition of the 3x3 atom block.
 
     ``energies[i]`` pairs with the unit column ``vectors[:, i]``;
-    ``dark_index`` identifies the weakly dissipative state.  The
-    perturbation-theory bookkeeping (omega_1, omega_2, omega_pm, first-order
-    slopes) rides along for diagnostics.
+    ``dark_index`` identifies the weakly dissipative state.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     dark_index: int
-    omega1: complex
-    omega2: complex
-    omega_pm: tuple = field(default=(0j, 0j))
-    first_order_slopes: tuple = field(default=(0j, 0j, 0j))
 
     @property
     def dark_energy(self) -> complex:
@@ -144,26 +138,7 @@ def atom_eigensystem_exact(params: SystemParams, degeneracy_rtol: float = 1e-10)
         phase = vecs[lead, i] / abs(vecs[lead, i])
         vecs[:, i] = vecs[:, i] / phase
 
-    omega1, omega2 = _detunings(params)
-    om2 = params.rabi_norm**2
-    op2 = params.omega_p_rabi**2
-    disc = np.sqrt((omega1 - omega2) ** 2 + 4.0 * om2 + 0j)
-    omega_plus = 0.5 * (omega1 + omega2 + disc)
-    omega_minus = 0.5 * (omega1 + omega2 - disc)
-    slopes = (
-        -op2 / (omega_plus * omega_minus) if omega_plus * omega_minus != 0 else 0j,
-        -op2 / (omega_plus * (omega_plus - omega_minus)) if omega_plus != 0 else 0j,
-        op2 / (omega_minus * (omega_plus - omega_minus)) if omega_minus != 0 else 0j,
-    )
-    return AtomEigensystem(
-        energies=vals,
-        vectors=vecs,
-        dark_index=0,
-        omega1=omega1,
-        omega2=omega2,
-        omega_pm=(omega_plus, omega_minus),
-        first_order_slopes=slopes,
-    )
+    return AtomEigensystem(energies=vals, vectors=vecs, dark_index=0)
 
 
 def dark_state_energy(params: SystemParams) -> complex:

@@ -12,6 +12,15 @@ inverse-Laplace decomposition of the amplitude u(t) then splits into the
 two pole terms B_j * Q(p_j) * exp(-i*E_j*t) plus a branch-cut integral
 over the band that dephases at long times.
 
+One root search, ``_dispersion_root``, solves E = E1 + Sigma(E) on either
+side for both self-energies: the continuum g^2 * G(E) beyond the band edge
+and the finite-N mode sum beyond the outermost mode.  Beyond that end,
+``inner``, both obey |Sigma(E)| <= g^2/|E - inner|.  At the far end
+inner +- (max(+-(Re E1 - inner), 0) + g + xi) the distance |E - Re E1| is
+at least g + xi while |Sigma| < g, so that end always brackets the root
+with the near end inner +- 1e-13 xi; only a root closer than 1e-13 xi to
+``inner`` escapes, and it raises NoConvergence.
+
 A mathematical subtlety drives the "significant" flag below: the 1/sqrt
 van Hove divergence at a 1D band edge guarantees a root beyond *each*
 edge for any coupling, so by bare root counting there are always two.
@@ -162,21 +171,6 @@ def _local_green_deriv(energy: complex, params: SystemParams) -> complex:
 # -- dispersion roots ----------------------------------------------------------
 
 
-def _bracketed_root(
-    f: Callable[[float], float], lo: float, hi: float, widen_limit: float, region: str
-) -> float:
-    """brentq with geometric widening of the far end until f changes sign."""
-    flo = f(lo)
-    fhi = f(hi)
-    while flo * fhi > 0:
-        span = hi - lo
-        if abs(span) >= widen_limit:
-            raise NoConvergence(region, f"no sign change within {widen_limit:.3g} of the edge")
-        hi = lo + 2.0 * span
-        fhi = f(hi)
-    return float(optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-
-
 def _complex_newton(
     f: Callable[[complex], complex],
     fprime: Callable[[complex], complex],
@@ -199,32 +193,42 @@ def _complex_newton(
     raise NoConvergence(region, f"|f| = {abs(f(z)):.3e} after {NEWTON_MAXITER} Newton steps")
 
 
+def _dispersion_root(
+    params: SystemParams,
+    e1: complex,
+    location: str,
+    sigma: Callable[[complex], complex],
+    sigma_prime: Callable[[complex], complex],
+    inner: float,
+) -> complex:
+    """Solve E = E1 + sigma(E) beyond ``inner`` on the ``location`` side.
+
+    brentq solves the real part between inner +- 1e-13 xi and the far end
+    from the module docstring; for complex E1, Newton refines that root.
+    """
+    xi = params.xi
+    side = 1.0 if location == "above_band" else -1.0
+
+    def f_real(e: float) -> float:
+        return e - e1.real - sigma(e).real
+
+    lo = inner + side * 1e-13 * xi
+    if side * f_real(lo) > 0:
+        raise NoConvergence(location, f"root closer than {1e-13 * xi:.3g} to {inner}")
+    hi = inner + side * (max(side * (e1.real - inner), 0.0) + params.g + xi)
+    root = float(optimize.brentq(f_real, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    if e1.imag == 0.0:
+        return complex(root)
+    return complex(_complex_newton(lambda z: z - e1 - sigma(z), lambda z: 1.0 - sigma_prime(z),
+                                   complex(root), xi, location))
+
+
 def _continuum_root(params: SystemParams, e1: complex, location: str) -> complex:
     """Solve E = E1 + g^2 * G(E) beyond one band edge (continuum G)."""
     g2 = params.g**2
-    xi = params.xi
-    band = BandInfo.from_params(params)
-
-    def f_real(e: float) -> float:
-        return e - e1.real - g2 * _local_green(e, params).real
-
-    if location == "above_band":
-        lo = band.upper_edge + 1e-12 * xi
-        hi = band.upper_edge + 10.0 * xi
-    else:
-        lo = band.lower_edge - 1e-12 * xi
-        hi = band.lower_edge - 10.0 * xi
-    root = _bracketed_root(f_real, lo, hi, 100.0 * xi, location)
-    if e1.imag == 0.0:
-        return complex(root)
-
-    def f(z: complex) -> complex:
-        return z - e1 - g2 * _local_green(z, params)
-
-    def fp(z: complex) -> complex:
-        return 1.0 - g2 * _local_green_deriv(z, params)
-
-    return _complex_newton(f, fp, complex(root), xi, location)
+    edge = params.band_upper if location == "above_band" else params.band_lower
+    return _dispersion_root(params, e1, location, lambda e: g2 * _local_green(e, params),
+                            lambda z: g2 * _local_green_deriv(z, params), edge)
 
 
 def _lattice_root(params: SystemParams, e1: complex, location: str) -> complex:
@@ -235,30 +239,9 @@ def _lattice_root(params: SystemParams, e1: complex, location: str) -> complex:
     """
     modes = params.mode_frequencies()
     j2 = params.g**2 / params.n_cavities
-    xi = params.xi
-
-    def f_real(e: float) -> float:
-        return e - e1.real - j2 * float(np.sum(1.0 / (e - modes)))
-
-    if location == "above_band":
-        anchor = float(modes.max())
-        lo = anchor + 1e-13 * xi
-        hi = params.band_upper + 10.0 * xi
-    else:
-        anchor = float(modes.min())
-        lo = anchor - 1e-13 * xi
-        hi = params.band_lower - 10.0 * xi
-    root = _bracketed_root(f_real, lo, hi, 100.0 * xi, location)
-    if e1.imag == 0.0:
-        return complex(root)
-
-    def f(z: complex) -> complex:
-        return z - e1 - j2 * complex(np.sum(1.0 / (z - modes)))
-
-    def fp(z: complex) -> complex:
-        return 1.0 + j2 * complex(np.sum(1.0 / (z - modes) ** 2))
-
-    return _complex_newton(f, fp, complex(root), xi, location)
+    outer = float(modes.max() if location == "above_band" else modes.min())
+    return _dispersion_root(params, e1, location, lambda e: j2 * np.sum(1.0 / (e - modes)),
+                            lambda z: -j2 * np.sum(1.0 / (z - modes) ** 2), outer)
 
 
 def _residue_weight(energy: complex, e1: complex, params: SystemParams) -> complex:

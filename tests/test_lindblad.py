@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qbsim import dynamics
 from qbsim.dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
-from qbsim.errors import StepSizeTooLarge
+from qbsim.errors import StepSizeTooLarge, TraceDrift
 from qbsim.lindblad import initial_density_matrix, lindblad_evolve, population_report
 
 
@@ -113,9 +115,18 @@ def test_non_finite_trace_names_the_step(small_params, monkeypatch):
     # STEP_FACTOR = 5 makes each RK4 step 250 times too long: rho overflows to NaN.
     monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow must not leak out
         with pytest.raises(StepSizeTooLarge, match=r"non-finite with RK4 step dt = 0\.5882"):
             lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 200, 11), small_params)
+
+
+def test_trace_drift_names_the_step(small_params, monkeypatch):
+    # STEP_FACTOR = 1 makes each RK4 step 50 times too long: rho grows but stays finite.
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", 1.0)
+    psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
+    with pytest.raises(TraceDrift, match=r"reached .* with RK4 step dt = 0\.1, n_sub = 5$"):
+        lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 5, 11), small_params)
 
 
 def test_debug_log_names_the_steps(small_params, caplog):

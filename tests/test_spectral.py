@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qbsim import atom_eigensystem_exact, effective_hamiltonian
-from qbsim.errors import EdgeSingularity, OnBranchCut
+from qbsim.errors import EdgeSingularity, NoConvergence, OnBranchCut
+from qbsim.presets import preset
 from qbsim.spectral import (
     BandInfo,
     analytic_amplitude,
@@ -73,6 +74,38 @@ class TestBoundStates:
             out = ev[(ev < p.band_lower) | (ev > p.band_upper)]
             for s in bs.states:
                 assert np.min(np.abs(out - s.lattice_energy.real)) < 1e-6
+        # Complex E1 (kappa > 0): Newton on the mode sum and its derivative.
+        for name in ("fig3a", "fig4"):
+            q = preset(name).params
+            e1 = atom_eigensystem_exact(q).dark_energy
+            assert e1.imag < 0.0
+            ev = np.linalg.eigvals(effective_hamiltonian(q, "mode", e1=e1))
+            for s in find_bound_states(q, e1).states:
+                assert np.min(np.abs(ev - s.lattice_energy)) < 1e-9
+
+    @pytest.mark.parametrize("edge, offset, kappa", [
+        ("above_band", 300.0, 20.0 / 3.0),
+        ("above_band", 300.0, 0.0),
+        ("below_band", -300.0, 0.0),
+    ])
+    def test_far_dark_energy_keeps_one_root_each_side(self, fig3b_params, edge, offset, kappa):
+        # A root exists beyond each edge however far E1 lies from the band.
+        p = fig3b_params.replace(kappa=kappa)
+        e1 = complex((p.band_upper if offset > 0 else p.band_lower) + offset,
+                     -0.01 if kappa > 0 else 0.0)
+        bs = find_bound_states(p, e1)
+        assert bs.count == 1
+        assert [s.location for s in bs.states if s.significant] == [edge]
+        ev = np.linalg.eigvals(effective_hamiltonian(p, "mode", e1=e1))
+        for s in bs.states:
+            assert np.min(np.abs(ev - s.lattice_energy)) < 1e-9
+
+    def test_root_at_the_edge_raises_typed_error(self, fig2_params):
+        # At g = 1e-4 xi the below-band root lies about 4e-18 xi from the edge,
+        # inside the near end of the bracket.
+        p = fig2_params.replace(g1=fig2_params.g1 / 3000.0, g2=fig2_params.g2 / 3000.0)
+        with pytest.raises(NoConvergence, match=r"'below_band': root closer than 1e-13 to 18"):
+            find_bound_states(p, 20.5 + 0j)
 
     def test_count_transitions_at_band_edges(self, fig2_params):
         p = fig2_params
