@@ -174,10 +174,12 @@ def hamiltonian_blocks(params: SystemParams, model: str = "effective", represent
     ``coupling`` has one row per atom state.  In ``mode`` representation
     photon_diag holds omega_k and every mode couples with g/sqrt(N); in
     ``site`` representation it is None (the cyclic omega0, -xi chain) and
-    only site 0 couples.
+    only site 0 couples.  The ``even`` representation is the parity-even
+    part of ``mode``: k = 0, then (|k> + |-k>)/sqrt(2) for k = 1 .. (N-1)/2,
+    coupling with g/sqrt(N) and sqrt(2) g/sqrt(N).
     """
-    if representation not in ("mode", "site"):
-        raise ValueError(f"representation must be 'mode' or 'site', got {representation!r}")
+    if representation not in ("mode", "site", "even"):
+        raise ValueError(f"representation must be 'mode', 'site' or 'even', got {representation!r}")
     if model == "effective":
         if not params.dark_condition_ok:
             raise DarkConditionViolated("effective model needs g1/g2 = -Oc/Op")
@@ -188,12 +190,16 @@ def hamiltonian_blocks(params: SystemParams, model: str = "effective", represent
     else:
         atom_block = atom_hamiltonian(params)
         couplings = np.array([params.g1, 0.0, params.g2])
-    coupling = np.zeros((len(couplings), params.n_cavities), dtype=complex)
     if representation == "site":
+        coupling = np.zeros((len(couplings), params.n_cavities), dtype=complex)
         coupling[:, 0] = couplings
         return atom_block, coupling, None
-    coupling[:] = couplings[:, None] / math.sqrt(params.n_cavities)
-    return atom_block, coupling, params.mode_frequencies().astype(complex)
+    freqs, weights = params.mode_frequencies(), np.ones(params.n_cavities)
+    if representation == "even":
+        half = params.n_cavities // 2
+        freqs, weights = freqs[half:], np.r_[1.0, np.full(half, math.sqrt(2.0))]
+    coupling = (np.outer(couplings, weights) / math.sqrt(params.n_cavities)).astype(complex)
+    return atom_block, coupling, freqs.astype(complex)
 
 
 def assemble_hamiltonian(params: SystemParams, atom_block: np.ndarray, coupling: np.ndarray,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qbsim import SystemParams
+from qbsim import SystemParams, thermo
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread() -> None:
+    """Run the suite on one BLAS thread, so a second busy process cannot stall the timed tests."""
+    thermo._one_blas_thread()
 
 
 @pytest.fixture

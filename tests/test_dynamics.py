@@ -83,6 +83,22 @@ class TestEvolve:
                         np.linspace(0, 100, 2001), p)
         assert np.max(np.abs(series.norm2 - 1.0)) <= 1e-8
 
+    @pytest.mark.parametrize("representation", ["mode", "site"])
+    def test_norm2_counts_the_odd_sector(self, fig3a_params, representation):
+        # About half of a photon at site 5 is parity-odd, advanced outside the RK4 kernel.
+        p = fig3a_params.replace(kappa=0.0)
+        series = evolve(initial_state_photon_at_site(5, p, "effective", representation),
+                        np.linspace(0, 20, 201), p)
+        assert np.max(np.abs(series.norm2 - 1.0)) <= 1e-8
+        assert abs(series.final_state.norm2 - series.norm2[-1]) <= 1e-12
+
+    def test_unknown_representation_rejected_before_propagating(self, fig3a_params, monkeypatch):
+        psi = initial_state_photon_at_site(0, fig3a_params, "effective", "mode")
+        psi.representation = "momentum"
+        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        with pytest.raises(ValueError, match="unknown representation"):
+            evolve(psi, np.linspace(0, 1, 11), fig3a_params)
+
     def test_norm_monotone_kappa_positive(self, fig3a_params):
         series = evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
                         np.linspace(0, 30, 601), fig3a_params)
@@ -112,6 +128,7 @@ class TestEvolve:
         assert record.name == "qbsim.dynamics"
         assert record.getMessage().startswith("evolve full/site: dim 256, n_sub ")
         assert "RK4 steps; matrix " in record.getMessage()
+        assert record.getMessage().endswith("; even dim 130")
 
 
 class TestStepSizeTooLarge:
