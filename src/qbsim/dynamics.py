@@ -65,13 +65,6 @@ NORM_GROWTH_TOL = 1e-6
 logger = logging.getLogger("qbsim.dynamics")
 
 
-def _mode_phases(params: SystemParams) -> np.ndarray:
-    """exp(i k_n j) matrix used by the mode<->site Fourier maps."""
-    k = params.mode_wavenumbers()
-    j = np.arange(params.n_cavities)
-    return np.exp(1j * np.outer(k, j))
-
-
 def _split_parity(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mode amplitudes -> even [b_0, (b_k + b_-k)/sqrt(2)] and odd (b_k - b_-k)/sqrt(2), k > 0."""
     half = len(beta) // 2
@@ -121,12 +114,12 @@ class WaveFunction:
             return self
         if {rep, self.representation} != {"mode", "site"}:
             raise ValueError(f"unknown representation {rep!r} or {self.representation!r}")
-        phases = _mode_phases(params)
+        # beta_j = sum_k e^{ikj} beta_k / sqrt(N), with k in centred order.
         rt_n = math.sqrt(params.n_cavities)
         if rep == "site":
-            photon = (phases.T @ self.photon) / rt_n  # beta_j = sum_k e^{ikj} beta_k / sqrt(N)
+            photon = rt_n * np.fft.ifft(np.fft.ifftshift(self.photon))
         else:
-            photon = (phases.conj() @ self.photon) / rt_n
+            photon = np.fft.fftshift(np.fft.fft(self.photon)) / rt_n
         return WaveFunction(self.atom.copy(), photon, rep, self.model)
 
 

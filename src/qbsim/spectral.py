@@ -12,14 +12,30 @@ inverse-Laplace decomposition of the amplitude u(t) then splits into the
 two pole terms B_j * Q(p_j) * exp(-i*E_j*t) plus a branch-cut integral
 over the band that dephases at long times.
 
-One root search, ``_dispersion_root``, solves E = E1 + Sigma(E) on either
-side for both self-energies: the continuum g^2 * G(E) beyond the band edge
-and the finite-N mode sum beyond the outermost mode.  Beyond that end,
-``inner``, both obey |Sigma(E)| <= g^2/|E - inner|.  At the far end
-inner +- (max(+-(Re E1 - inner), 0) + g + xi) the distance |E - Re E1| is
-at least g + xi while |Sigma| < g, so that end always brackets the root
-with the near end inner +- 1e-13 xi; only a root closer than 1e-13 xi to
-``inner`` escapes, and it raises NoConvergence.
+Both self-energies are written in the Joukowski variable z, E - omega0 =
+xi (z + 1/z) with |z| <= 1, where s = 1/z - z is sqrt((E - omega0)^2 -
+4 xi^2)/xi on the branch above.  For odd N the mean mode sum is exactly
+
+    (1/N) sum_k 1/(E - omega_k) = (1 - q) / (xi s (1 + q)),   q = z^N,
+
+and the continuum G(E) = 1/(xi s) is its q = 0 limit; |q| <= 1, so the
+form never overflows, and it holds on the band too, where |z| = 1.  With
+a = omega0 - E1, the continuum relation E = E1 + g^2 G(E) is the quartic
+
+    xi^2 (1 - z^4) + a xi z (1 - z^2) - g^2 z^2 = 0.
+
+For real E1 exactly one root lies in (-1, 0) (below the band) and one in
+(0, 1) (above it); the other two lie outside the unit disk.  B and Q are
+taken from z, so they keep their digits however close a root is to its
+edge.  For complex E1, Newton in E refines the root found at Re E1.  The
+finite-N root lies beyond the outermost mode ``outer``.  It is found by
+Newton steps in E on F(E) (E - outer), where F(E) = E - E1 - Sigma(E) and
+the factor cancels that mode's pole, seeded at the continuum root and
+bisecting whenever a step leaves the bracket from outer +- 1e-13 xi to
+outer +- (max(+-(Re E1 - outer), 0) + g + xi).  Beyond ``outer``
+|Sigma(E)| <= g^2/|E - outer|, so at the far end |E - Re E1| >= g + xi >
+|Sigma| and the bracket holds every root except one closer than 1e-13 xi
+to ``outer``, which raises NoConvergence.
 
 A mathematical subtlety drives the "significant" flag below: the 1/sqrt
 van Hove divergence at a 1D band edge guarantees a root beyond *each*
@@ -35,12 +51,13 @@ E1 placed exactly on the opposite band edge; that threshold makes the
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .errors import EdgeSingularity, NoConvergence, OnBranchCut
 from .params import SystemParams
@@ -60,6 +77,8 @@ __all__ = [
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 200
+
+logger = logging.getLogger("qbsim.spectral")
 
 
 @dataclass(frozen=True)
@@ -154,139 +173,157 @@ def discrete_lattice_sum(energy: complex, params: SystemParams) -> complex:
     return complex(np.sum(1.0 / (complex(energy) - params.mode_frequencies())))
 
 
-def _local_green(energy: complex, params: SystemParams) -> complex:
-    """Per-mode continuum Green's function lattice_sum/N (bypasses cut check)."""
-    e = complex(energy)
-    root = cmath.sqrt(e - params.band_upper) * cmath.sqrt(e - params.band_lower)
-    return 1.0 / root
+def _joukowski(energy: complex, params: SystemParams) -> tuple[complex, complex]:
+    """z with |z| <= 1 and E - omega0 = xi (z + 1/z), and s = 1/z - z.
+
+    s = sqrt((E - omega0)^2 - 4 xi^2)/xi is taken from E minus each edge,
+    so it keeps its digits near an edge.
+    """
+    e, xi = complex(energy), params.xi
+    s = cmath.sqrt((e - params.band_upper) / xi) * cmath.sqrt((e - params.band_lower) / xi)
+    return 2.0 / ((e - params.omega0) / xi + s), s
 
 
-def _local_green_deriv(energy: complex, params: SystemParams) -> complex:
-    e = complex(energy)
-    s2 = (e - params.omega0) ** 2 - 4.0 * params.xi**2
-    root = cmath.sqrt(e - params.band_upper) * cmath.sqrt(e - params.band_lower)
-    return -(e - params.omega0) / (s2 * root)
+def _mean_green(z: complex, s: complex, params: SystemParams,
+                n: int = 0) -> tuple[complex, complex]:
+    """(1/N) sum_k 1/(E - omega_k) and its E-derivative at E = omega0 + xi (z + 1/z).
+
+    The closed form of the module docstring in q = z^N, with s = 1/z - z;
+    n = 0 gives the continuum G(E) and G'(E).
+    """
+    xi = params.xi
+    q = z**n if n else 0.0
+    green = (1.0 - q) / (xi * s * (1.0 + q))
+    return green, green / (xi * s) * (2.0 * n * q / (1.0 - q * q) - (z + 1.0 / z) / s)
 
 
 # -- dispersion roots ----------------------------------------------------------
 
 
-def _complex_newton(
-    f: Callable[[complex], complex],
-    fprime: Callable[[complex], complex],
-    z0: complex,
-    scale: float,
-    region: str,
-) -> complex:
-    z = complex(z0)
-    for _ in range(NEWTON_MAXITER):
-        fz = f(z)
-        if abs(fz) < NEWTON_TOL * scale:
-            return z
-        dz = fz / fprime(z)
-        z = z - dz
-        # Near a band edge f' blows up and |f| stalls above the residual
-        # tolerance even though z is machine-accurate; a vanishing step is
-        # then the honest convergence signal.
-        if abs(dz) <= 4e-16 * max(abs(z), scale):
-            return z
-    raise NoConvergence(region, f"|f| = {abs(f(z)):.3e} after {NEWTON_MAXITER} Newton steps")
-
-
-def _dispersion_root(
-    params: SystemParams,
-    e1: complex,
-    location: str,
-    sigma: Callable[[complex], complex],
-    sigma_prime: Callable[[complex], complex],
-    inner: float,
-) -> complex:
-    """Solve E = E1 + sigma(E) beyond ``inner`` on the ``location`` side.
-
-    brentq solves the real part between inner +- 1e-13 xi and the far end
-    from the module docstring; for complex E1, Newton refines that root.
-    """
-    xi = params.xi
-    side = 1.0 if location == "above_band" else -1.0
-
-    def f_real(e: float) -> float:
-        return e - e1.real - sigma(e).real
-
-    lo = inner + side * 1e-13 * xi
-    if side * f_real(lo) > 0:
-        raise NoConvergence(location, f"root closer than {1e-13 * xi:.3g} to {inner}")
-    hi = inner + side * (max(side * (e1.real - inner), 0.0) + params.g + xi)
-    root = float(optimize.brentq(f_real, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    if e1.imag == 0.0:
-        return complex(root)
-    return complex(_complex_newton(lambda z: z - e1 - sigma(z), lambda z: 1.0 - sigma_prime(z),
-                                   complex(root), xi, location))
-
-
-def _continuum_root(params: SystemParams, e1: complex, location: str) -> complex:
-    """Solve E = E1 + g^2 * G(E) beyond one band edge (continuum G)."""
+def _dispersion(params: SystemParams, e1: complex, n: int = 0) -> Callable:
+    """(E, (z, s)) -> (F, F'), F(E) = E - E1 - g^2 (1/N) sum_k 1/(E - omega_k); n = 0: continuum."""
     g2 = params.g**2
-    edge = params.band_upper if location == "above_band" else params.band_lower
-    return _dispersion_root(params, e1, location, lambda e: g2 * _local_green(e, params),
-                            lambda z: g2 * _local_green_deriv(z, params), edge)
+
+    def f(e: complex, point: tuple[complex, complex]) -> tuple[complex, complex]:
+        green, deriv = _mean_green(*point, params, n)
+        return e - e1 - g2 * green, 1.0 - g2 * deriv
+
+    return f
 
 
-def _lattice_root(params: SystemParams, e1: complex, location: str) -> complex:
-    """Solve the dispersion relation with the exact N-term mode sum.
+def _complex_newton(f: Callable, e0: complex, params: SystemParams, region: str) -> complex:
+    """Newton in E on f(E, (z, s)) -> (F, F') from the real-axis root e0 (complex E1)."""
+    e, scale = complex(e0), params.xi
+    for _ in range(NEWTON_MAXITER):
+        fe, dfe = f(e, _joukowski(e, params))
+        if abs(fe) < NEWTON_TOL * scale:
+            return e
+        de = fe / dfe
+        e = e - de
+        # Near a band edge f' blows up and |f| stalls above the residual
+        # tolerance even though e is machine-accurate; a vanishing step is
+        # then the honest convergence signal.
+        if abs(de) <= 4e-16 * max(abs(e), scale):
+            return e
+    raise NoConvergence(region, f"|f| = {abs(f(e, _joukowski(e, params))[0]):.3e} "
+                                f"after {NEWTON_MAXITER} Newton steps")
 
-    The real-axis root between the outermost mode and infinity is exactly
-    the out-of-band eigenvalue of the (N+1)-dim effective Hamiltonian.
+
+def _continuum_points(params: SystemParams, e1_real: float) -> list[tuple[float, float]]:
+    """(z, s) of the quartic's real roots below and above the band at Re E1,
+    and below the band at E1 = upper edge.
+
+    One stacked eigvals of the two companion matrices; the two roots of
+    smallest |z| are the ones inside the unit disk.  s = (1 - z)(1 + z)/z
+    keeps its digits near z = +-1.
     """
-    modes = params.mode_frequencies()
-    j2 = params.g**2 / params.n_cavities
-    outer = float(modes.max() if location == "above_band" else modes.min())
-    return _dispersion_root(params, e1, location, lambda e: j2 * np.sum(1.0 / (e - modes)),
-                            lambda z: -j2 * np.sum(1.0 / (z - modes) ** 2), outer)
+    b, c = (params.omega0 - e1_real) / params.xi, (params.g / params.xi) ** 2
+    companion = np.zeros((2, 4, 4))
+    companion[:, 1:, :3] = np.eye(3)
+    companion[:, 0] = [(-b, -c, b, 1.0), (2.0, -c, -2.0, 1.0)]
+    rows = [sorted(r.real for r in sorted(roots, key=abs)[:2])
+            for roots in np.linalg.eigvals(companion).tolist()]
+    return [(z, (1.0 - z) * (1.0 + z) / z) for z in (*rows[0], rows[1][0])]
 
 
-def _residue_weight(energy: complex, e1: complex, params: SystemParams) -> complex:
-    """B_j = s2 / (s2 + (E - E1)(E - omega0)) with s2 = (E-omega0)^2 - 4 xi^2."""
-    s2 = (energy - params.omega0) ** 2 - 4.0 * params.xi**2
-    return s2 / (s2 + (energy - e1) * (energy - params.omega0))
+def _lattice_root(params: SystemParams, e1: complex, location: str,
+                  seed: float, point: tuple[float, float]) -> tuple[complex, int, int]:
+    """Solve the dispersion relation with the exact N-term mode sum beyond the outermost mode.
 
-
-def _pole_amplitude(energy: complex, params: SystemParams) -> complex:
-    """Q(p_j) = (g/N) * lattice_sum(E_j); +g/(xi sqrt(M^2-4)) above the band."""
-    return params.g * _local_green(energy, params)
-
-
-def _critical_weight(params: SystemParams) -> float:
-    """Far-root weight when E1 sits exactly on the opposite band edge.
-
-    The weight of the root hugging the far edge decreases monotonically as
-    E1 moves away, so comparing |B| against this value places the
-    significant-count transition exactly at the band edges.  The cosine
-    band is symmetric, so one edge suffices.
+    The bracketed Newton of the module docstring from the continuum root
+    ``seed`` and its (z, s); complex E1 then refines the real root by
+    Newton.  The real root is exactly the out-of-band eigenvalue of the
+    (N+1)-dim effective Hamiltonian.  Returns the root, the Newton steps and
+    the bisections.
     """
-    if params.g == 0.0:
-        return 0.0
-    e1_edge = complex(params.band_upper)
-    root = _continuum_root(params, e1_edge, "below_band")
-    return abs(_residue_weight(root, e1_edge, params))
+    n, xi = params.n_cavities, params.xi
+    side = 1.0 if location == "above_band" else -1.0
+    outer = params.omega0 + side * 2.0 * xi * (math.cos(math.pi / n) if side > 0 else 1.0)
+    near = outer + side * 1e-13 * xi
+    far = outer + side * (max(side * (e1.real - outer), 0.0) + params.g + xi)
+    f, point_near = _dispersion(params, e1.real, n), _joukowski(near, params)
+    if side * f(near, point_near)[0].real > 0:
+        raise NoConvergence(location, f"root closer than {1e-13 * xi:.3g} to {outer}")
+    lo, hi = sorted((near, far))
+    tol = 2e-15 * max(abs(lo), abs(hi))
+    e, bisections = seed, 0
+    if not lo < e < hi:  # a continuum root within 1e-13 xi of the edge
+        e, point = near, point_near
+    for steps in range(1, NEWTON_MAXITER + 1):
+        fe, dfe = f(e, point)
+        if lo < e < hi:  # F increases with E, so its sign tells the root's side
+            lo, hi = (lo, e) if fe.real > 0 else (e, hi)
+        de = fe.real / (dfe.real + fe.real / (e - outer))
+        # Converged is tested before the bracket: a step from the root
+        # itself lands on the bracket end just set at it.
+        if abs(de) <= tol:
+            break
+        e -= de
+        if not lo < e < hi:
+            e, bisections = 0.5 * (lo + hi), bisections + 1
+        point = _joukowski(e, params)
+    else:
+        raise NoConvergence(location, f"no Newton step below {tol:.3g} in {NEWTON_MAXITER}")
+    root = complex(e - de)
+    if e1.imag != 0.0:
+        root = _complex_newton(_dispersion(params, e1, n), root, params, location)
+    return root, steps, bisections
+
+
+def _pole_terms(point: tuple[complex, complex], e1: complex,
+                params: SystemParams) -> tuple[complex, complex]:
+    """B_j = s2 / (s2 + (E - E1)(E - omega0)) and Q(p_j) = g G(E) from the root's (z, s).
+
+    s2 = (E - omega0)^2 - 4 xi^2 = xi^2 s^2 keeps its digits however close
+    the root is to an edge; E - edge would not.  Q is +g/(xi
+    sqrt(M^2-4)) above the band.
+    """
+    xi, (z, s) = params.xi, point
+    shift = xi * (z + 1.0 / z)  # E - omega0
+    s2 = (xi * s) ** 2
+    return complex(s2 / (s2 + (params.omega0 + shift - e1) * shift)), complex(params.g / (xi * s))
 
 
 def find_bound_states(params: SystemParams, e1: complex) -> BoundStateSet:
     """Locate the resolvent poles beyond both band edges.
 
-    For kappa = 0 (real ``e1``) this is bracketed real root-finding; complex
-    ``e1`` refines each real root by Newton iteration on the analytically
-    continued dispersion relation.  Each returned state carries the
-    continuum pole energy (used in all analytic formulas), the exact
-    finite-N root (equal to the matrix eigenvalue), the residue weight B_j,
-    the pole amplitude Q(p_j), and the significance flag described in the
-    module docstring.
+    The continuum roots come from the quartic at Re E1; complex ``e1``
+    refines each by Newton on the analytically continued dispersion
+    relation.  Each returned state carries the continuum pole energy (used
+    in all analytic formulas), the exact finite-N root (equal to the matrix
+    eigenvalue), the residue weight B_j, the pole amplitude Q(p_j), and the
+    significance flag described in the module docstring.  Each call logs E1,
+    the real-axis z and the lattice Newton steps and bisections per side to
+    the ``qbsim.spectral`` logger at DEBUG level.
 
-    Raises NoConvergence, naming the failing region, if either search fails.
+    Raises NoConvergence, naming the failing region, if a lattice or
+    complex Newton search fails.
     """
     e1 = complex(e1)
     band = BandInfo.from_params(params)
     if params.g == 0.0:
         # Decoupled atom: the resolvent pole is E1 itself.
+        logger.debug("find_bound_states E1 = %s: g = 0, no root search", e1)
         states: tuple[BoundState, ...]
         if band.contains(e1.real):
             states = ()
@@ -295,22 +332,33 @@ def find_bound_states(params: SystemParams, e1: complex) -> BoundStateSet:
             states = (BoundState(e1, loc, 1.0 + 0j, 0.0j, e1, True),)
         return BoundStateSet(band=band, states=states, e1=e1)
 
-    b_crit = _critical_weight(params)
-    found = []
-    for location in ("below_band", "above_band"):
-        energy = _continuum_root(params, e1, location)
-        lattice_energy = _lattice_root(params, e1, location)
-        weight = _residue_weight(energy, e1, params)
+    *points, edge_point = _continuum_points(params, e1.real)
+    # The far root's weight with E1 on the opposite edge; the band is
+    # symmetric, so one edge suffices.
+    b_crit = abs(_pole_terms(edge_point, complex(params.band_upper), params)[0])
+    found, searches = [], []
+    for location, point in zip(("below_band", "above_band"), points):
+        z = point[0]
+        energy = complex(params.omega0 + params.xi * (z + 1.0 / z))
+        lattice_energy, steps, bisections = _lattice_root(params, e1, location, energy.real, point)
+        searches += [steps, bisections]
+        if e1.imag != 0.0:
+            energy = _complex_newton(_dispersion(params, e1), energy, params, location)
+            point = _joukowski(energy, params)
+        weight, amplitude = _pole_terms(point, e1, params)
         found.append(
             BoundState(
                 energy=energy,
                 location=location,
                 residue_weight=weight,
-                pole_amplitude=_pole_amplitude(energy, params),
+                pole_amplitude=amplitude,
                 lattice_energy=lattice_energy,
                 significant=bool(abs(weight) >= b_crit * (1.0 - 1e-9)),
             )
         )
+    logger.debug("find_bound_states E1 = %s: z below %.17g, above %.17g; lattice Newton "
+                 "steps/bisections below %d/%d, above %d/%d",
+                 e1, points[0][0], points[1][0], *searches)
     return BoundStateSet(band=band, states=tuple(found), e1=e1)
 
 

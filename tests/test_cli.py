@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbsim
 from qbsim.cli import main
 from qbsim.errors import ConfigError
 from qbsim.presets import PRESET_NAMES, ScenarioConfig, preset
@@ -55,6 +60,16 @@ class TestScenarioConfig:
 
 
 class TestCli:
+    def test_python_m_qbsim_help(self):
+        src = str(Path(qbsim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-m", "qbsim", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: qbsim")
+        assert "reproduce" in done.stdout
+
     def test_invalid_xi_exit_code_2(self, tmp_path, capsys):
         data = preset("fig3a").to_dict()
         data["params"]["xi"] = 0.0

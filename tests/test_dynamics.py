@@ -34,6 +34,16 @@ class TestInitialStates:
         direct = initial_state_photon_at_site(3, fig3a_params, "effective", "mode")
         assert np.allclose(mode.photon, direct.photon)
 
+    @pytest.mark.parametrize("n", [3, 21, 253])
+    def test_fft_matches_dense_fourier_map(self, fig3a_params, n):
+        # Oracle: the dense map beta_j = sum_k e^{ikj} beta_k / sqrt(N) and its inverse.
+        p = fig3a_params.replace(n_cavities=n)
+        photon = np.array([1.0, 1j]) @ np.random.default_rng(n).normal(size=(2, n))
+        dense = np.exp(1j * np.outer(p.mode_wavenumbers(), np.arange(n))) / math.sqrt(n)
+        for source, target, matrix in (("mode", "site", dense.T), ("site", "mode", dense.conj())):
+            psi = dynamics.WaveFunction(np.ones(1, dtype=complex), photon, source, "effective")
+            assert np.max(np.abs(psi.to_representation(target, p).photon - matrix @ photon)) <= 1e-12
+
     def test_index_out_of_range(self, fig3a_params):
         with pytest.raises(IndexOutOfRange):
             initial_state_photon_at_site(253, fig3a_params)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from qbsim import atom_eigensystem_exact, effective_hamiltonian
-from qbsim.errors import EdgeSingularity, NoConvergence, OnBranchCut
+from qbsim import atom_eigensystem_exact, effective_hamiltonian, spectral
+from qbsim.errors import EdgeSingularity, OnBranchCut
 from qbsim.presets import preset
 from qbsim.spectral import (
     BandInfo,
@@ -30,6 +32,25 @@ class TestLatticeSum:
         closed = lattice_sum(e, p)
         direct = discrete_lattice_sum(e, p)
         assert abs(closed - direct) / abs(direct) < 0.005
+
+    @pytest.mark.parametrize("n", [3, 53, 253, 1001])
+    def test_closed_form_matches_mode_sum(self, fig2_params, n):
+        # (1/N) sum_k 1/(E - omega_k) = (1 - z^N) / (xi s (1 + z^N)) beyond
+        # and below the band, off the real axis and far away (z^N underflows),
+        # each point >= 1e-3 xi from a mode; and inside the band, halfway
+        # between the outermost mode and the edge (|z| = 1), a window only
+        # about xi pi^2/N^2 wide.
+        p = fig2_params.replace(n_cavities=n)
+        outer = p.omega0 + 2.0 * p.xi * np.cos(np.pi / n)
+        energies = [p.band_upper + 0.3, p.band_upper + 1e-3, p.band_lower - 0.3,
+                    p.band_lower - 1e-3, p.omega0 + 0.7 - 0.05j, p.band_lower - 0.01 - 0.2j,
+                    p.band_upper + 300.0 * p.xi]
+        for e in energies:
+            assert np.min(np.abs(e - p.mode_frequencies())) >= 1e-3 * p.xi
+        for e in energies + [0.5 * (outer + p.band_upper)]:
+            closed = n * spectral._mean_green(*spectral._joukowski(e, p), p, n)[0]
+            direct = discrete_lattice_sum(e, p)
+            assert abs(closed - direct) <= 1e-10 * abs(direct)
 
     def test_on_branch_cut_raises(self, fig2_params):
         with pytest.raises(OnBranchCut):
@@ -100,12 +121,32 @@ class TestBoundStates:
         for s in bs.states:
             assert np.min(np.abs(ev - s.lattice_energy)) < 1e-9
 
-    def test_root_at_the_edge_raises_typed_error(self, fig2_params):
-        # At g = 1e-4 xi the below-band root lies about 4e-18 xi from the edge,
-        # inside the near end of the bracket.
-        p = fig2_params.replace(g1=fig2_params.g1 / 3000.0, g2=fig2_params.g2 / 3000.0)
-        with pytest.raises(NoConvergence, match=r"'below_band': root closer than 1e-13 to 18"):
-            find_bound_states(p, 20.5 + 0j)
+    @pytest.mark.parametrize("g", [1e-3, 1e-4])
+    def test_weak_coupling_roots(self, fig2_params, g):
+        # Both continuum roots lie within g^4/(4 (E1 - edge)^2) xi of an edge
+        # (4e-14 xi below the band at g = 1e-3); B Q has the weak-coupling
+        # asymptote -+ g^3 / (2 xi (E1 - edge)^2).
+        scale = g / fig2_params.g
+        p = fig2_params.replace(g1=fig2_params.g1 * scale, g2=fig2_params.g2 * scale)
+        e1 = 20.5 + 0j
+        bs = find_bound_states(p, e1)
+        assert [s.location for s in bs.states] == ["below_band", "above_band"]
+        ev = np.linalg.eigvalsh(effective_hamiltonian(p, "mode", e1=e1).real)
+        for s in bs.states:
+            assert np.min(np.abs(ev - s.lattice_energy.real)) < 1e-9
+        asymptote = {"below_band": -p.g**3 / (2.0 * 2.5**2), "above_band": p.g**3 / (2.0 * 1.5**2)}
+        for s in bs.states:
+            bq = s.residue_weight * s.pole_amplitude
+            assert abs(bq - asymptote[s.location]) <= 1e-3 * abs(asymptote[s.location])
+
+    def test_debug_log_names_the_steps(self, fig2_params, caplog):
+        caplog.set_level("DEBUG", logger="qbsim.spectral")
+        find_bound_states(fig2_params, 20.5 + 0j)
+        (record,) = caplog.records
+        assert record.name == "qbsim.spectral"
+        message = record.getMessage()
+        assert message.startswith("find_bound_states E1 = (20.5+0j): z below -0.")
+        assert re.search(r"; lattice Newton steps/bisections below \d+/\d+, above \d+/\d+$", message)
 
     def test_count_transitions_at_band_edges(self, fig2_params):
         p = fig2_params
