@@ -12,7 +12,7 @@ builds P by Horner's rule (3 matrix products) and its n_sub-th power by
 binary powering, in H's storage plus two buffers (3 x 16 dim^2 bytes),
 then advances each sample with one matrix-vector product; dt, n_sub and
 the truncation error are those of the step-by-step loop.  One code path
-serves the effective and the full model; ``evolve`` passes it only the
+serves both models at every kappa; ``evolve`` passes it only the
 parity-even sector (na + (N+1)/2 states), where a fig5 cell at N = 1001
 takes 0.11-0.15 s against 0.70-1.0 s at full dimension (one BLAS thread).
 
@@ -90,43 +90,27 @@ def rk4_schrodinger(
     dt: float,
     n_sub: int,
     n_samples: int,
-    norm_tol: float = 0.0,
 ):
     """Propagate psi0 under the dense complex H, sampling every n_sub steps (sample 0 is psi0).
 
     ``h`` is overwritten.  Returns (atom_samples, norm2_samples, psi_final,
     build_s), where atom_samples holds the first ``na`` amplitudes and
-    build_s is the time spent building the propagation matrix.  If
-    ``norm_tol`` > 0, psi advances one RK4 step at a time and RuntimeError
-    is raised as soon as a single step grows the norm^2 by more than
-    norm_tol (used for the kappa = 0 sanity check).
+    build_s is the time spent building the propagation matrix.
     """
     t0 = time.perf_counter()
     buf1, buf2 = np.empty_like(h), np.empty_like(h)
-    step = _rk4_step_matrix(h, dt, buf1, buf2)
-    if norm_tol > 0.0:
-        reps = n_sub
-    else:
-        reps = 1
-        step = _matrix_power(step, n_sub, h, buf1)
+    step = _matrix_power(_rk4_step_matrix(h, dt, buf1, buf2), n_sub, h, buf1)
     build_s = time.perf_counter() - t0
 
     psi = psi0.astype(complex)
     atom_out = np.empty((n_samples, na), dtype=complex)
     norm_out = np.empty(n_samples, dtype=float)
     atom_out[0] = psi[:na]
-    norm_out[0] = prev_norm = float(np.vdot(psi, psi).real)
+    norm_out[0] = float(np.vdot(psi, psi).real)
     for i in range(1, n_samples):
-        for _ in range(reps):
-            psi = step @ psi
-            cur = float(np.vdot(psi, psi).real)
-            if norm_tol > 0.0 and cur > prev_norm * (1.0 + norm_tol):
-                raise RuntimeError(
-                    f"norm^2 grew by {cur / prev_norm - 1.0:.3e} in one step"
-                )
-            prev_norm = cur
+        psi = step @ psi
         atom_out[i] = psi[:na]
-        norm_out[i] = prev_norm
+        norm_out[i] = float(np.vdot(psi, psi).real)
     return atom_out, norm_out, psi, build_s
 
 

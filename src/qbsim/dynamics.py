@@ -19,12 +19,17 @@ amplitude advances in closed form by the scalar RK4 factor
 P(-i dt (omega_k - centroid))^n_sub per sample.  The even sector, na +
 (N+1)/2 states, goes to ``_kernels.rk4_schrodinger`` as the dense, shifted
 H of the ``even`` blocks: one precomputed matrix P(-i dt H)^n_sub per
-sample (at kappa = 0, P one step at a time with every step's norm
-checked), 3 x 16 dim^2 bytes; a fig5 cell at N = 1001 takes 0.11-0.15 s
-on one BLAS thread.  Site-space states are propagated in the mode basis;
-``norm2`` and ``final_state`` describe the full state.  A trajectory whose
-norm^2 rises above its start by more than NORM_GROWTH_TOL, or is not
-finite, raises StepSizeTooLarge.  Each call logs its model,
+sample at every kappa, 3 x 16 dim^2 bytes; a fig5 cell at N = 1001 takes
+0.11-0.15 s on one BLAS thread.  Site-space states are propagated in the
+mode basis; ``norm2`` and ``final_state`` describe the full state.
+StepSizeTooLarge is raised before propagating, at kappa = 0, if one RK4
+step grows the norm^2 of an eigencomponent by more than NORM_GROWTH_TOL:
+the factor is |P(-i dt lambda)|^2 = 1 - y^6/72 + y^8/576, y = dt lambda
+(Hairer & Wanner, Solving ODEs II, IV.2), and a state's one-step ratio is
+its weighted mean, so ``eigvalsh`` of the shifted even H bounds every step
+(E1's rounding-level imaginary part is ignored); and after propagating,
+at every kappa, if norm^2 rises above its start by more than
+NORM_GROWTH_TOL or is not finite.  Each call logs its model,
 representation, dims, n_sub, dt, step count and the time spent building
 the matrix and propagating to the ``qbsim.dynamics`` logger at DEBUG level.
 """
@@ -59,7 +64,7 @@ __all__ = [
 #: dt <= STEP_FACTOR / max|diag - centroid|
 STEP_FACTOR = 0.02
 
-#: Allowed norm^2 growth: per step at kappa = 0, over the whole trajectory otherwise.
+#: Allowed norm^2 growth: per step of an eigencomponent at kappa = 0, and over the trajectory.
 NORM_GROWTH_TOL = 1e-6
 
 logger = logging.getLogger("qbsim.dynamics")
@@ -77,6 +82,11 @@ def _join_parity(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Inverse of ``_split_parity``."""
     pos, neg = (even[1:] + odd) / math.sqrt(2.0), (even[1:] - odd) / math.sqrt(2.0)
     return np.concatenate([neg[::-1], even[:1], pos])
+
+
+def _rk4_factor(z):
+    """RK4 stability polynomial sum_{j<=4} z^j/j!: one step of y' = a y scales y by P(dt a)."""
+    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
 
 
 def _odd_norm2(odd: np.ndarray, factor: np.ndarray, n_samples: int) -> np.ndarray:
@@ -223,46 +233,41 @@ def evolve(
     psi0: WaveFunction,
     t_grid: np.ndarray,
     params: SystemParams,
-    model: str | None = None,
     e1: complex | None = None,
 ) -> TimeSeries:
     """Integrate i dpsi/dt = H psi and record P_E1(t) on ``t_grid``.
 
     ``t_grid`` must be a uniform, increasing grid starting at 0.  The RK4
-    substep follows ``step_rule`` over the atom levels plus the mode
-    frequencies (mode space) or the band edges (site space).  Raises
-    StepSizeTooLarge if one step grows the norm beyond tolerance at
-    kappa = 0, or if the norm grows or stops being finite at kappa > 0.
+    substep follows ``step_rule`` over the diagonal of the even-sector H in
+    either representation.  Raises StepSizeTooLarge as the module docstring
+    says: at kappa = 0 before propagating, and if the norm grows or stops
+    being finite.
     """
-    if model is not None and model != psi0.model:
-        raise ValueError(f"psi0 was built for model {psi0.model!r}, not {model!r}")
     t_grid, dt_grid = check_time_grid(t_grid)
 
     psi_mode = psi0.to_representation("mode", params)
     even0, odd0 = _split_parity(psi_mode.photon)
     blocks = hamiltonian_blocks(params, psi0.model, "even", e1)
-    atom_block, _, even_levels = blocks
-    photon_levels = (params.mode_frequencies() if psi0.representation == "mode"
-                     else [params.band_lower, params.band_upper])
-    diag = np.concatenate([np.diag(atom_block).real, photon_levels])
-    centroid, n_sub, dt = step_rule(diag, dt_grid)
+    _, _, even_levels = blocks
     h = assemble_hamiltonian(params, *blocks)
+    centroid, n_sub, dt = step_rule(np.diag(h).real, dt_grid)
     h.flat[:: h.shape[0] + 1] -= centroid
+    if params.kappa == 0.0:
+        # The even diagonal holds every odd level (omega_k = omega_-k), max|lambda|
+        # >= max|h_ii|, and |P(iy)|^2 > 1 only for |y| > 2 sqrt(2), increasing there:
+        # no odd mode grows unless an even eigencomponent grows at least as fast.
+        growth = np.max(np.abs(_rk4_factor(-1j * dt * np.linalg.eigvalsh(h))) ** 2) - 1.0
+        if growth > NORM_GROWTH_TOL:
+            raise StepSizeTooLarge(
+                f"RK4 step dt = {dt:.4g} (n_sub = {n_sub}) grows norm^2 by up to {growth:.3e} "
+                f"per step, above NORM_GROWTH_TOL = {NORM_GROWTH_TOL:g}")
 
     na, nt = len(psi0.atom), len(t_grid)
     psi_init = np.concatenate([psi_mode.atom, even0])
-    # A step scales each odd amplitude by P(-ix) with |x| <= STEP_FACTOR, and
-    # |P(-ix)| <= 1 for |x| <= 2 sqrt(2): the odd norm never grows, so the
-    # per-step check on the even part is at least as strict as on the full state.
-    norm_tol = NORM_GROWTH_TOL if params.kappa == 0.0 else 0.0
     t0 = time.perf_counter()
-    try:
-        atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
-            h, na, psi_init, dt, n_sub=n_sub, n_samples=nt, norm_tol=norm_tol)
-    except RuntimeError as exc:
-        raise StepSizeTooLarge(str(exc)) from exc
-    z = -1j * dt * (even_levels[1:].real - centroid)
-    odd_factor = (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) ** n_sub
+    atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
+        h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
+    odd_factor = _rk4_factor(-1j * dt * (even_levels[1:].real - centroid)) ** n_sub
     norm2 = norm2 + _odd_norm2(odd0, odd_factor, nt)
     logger.debug(
         "evolve %s/%s: dim %d, n_sub %d, dt %.4g, %d RK4 steps; matrix %.4f s, propagation %.4f s; "

@@ -48,8 +48,8 @@ class NoConvergence(QbsimError):
 
 
 class StepSizeTooLarge(QbsimError):
-    """RK4 norm^2 grew beyond tolerance: in one step at kappa=0, or over the trajectory
-    (or to a non-finite value) at kappa > 0."""
+    """RK4 norm^2 grows beyond tolerance: per step of an eigencomponent at kappa = 0
+    (found before propagating), or over the trajectory, or to a non-finite value."""
 
 
 class IndexOutOfRange(QbsimError):

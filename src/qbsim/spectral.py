@@ -234,8 +234,8 @@ def _continuum_points(params: SystemParams, e1_real: float) -> list[tuple[float,
     and below the band at E1 = upper edge.
 
     One stacked eigvals of the two companion matrices; the two roots of
-    smallest |z| are the ones inside the unit disk.  s = (1 - z)(1 + z)/z
-    keeps its digits near z = +-1.
+    smallest |z| are the ones inside the unit disk.  One Newton step in
+    u = 1 - |z| gives z and s = 1/z - z their relative digits near z = +-1.
     """
     b, c = (params.omega0 - e1_real) / params.xi, (params.g / params.xi) ** 2
     companion = np.zeros((2, 4, 4))
@@ -243,7 +243,17 @@ def _continuum_points(params: SystemParams, e1_real: float) -> list[tuple[float,
     companion[:, 0] = [(-b, -c, b, 1.0), (2.0, -c, -2.0, 1.0)]
     rows = [sorted(r.real for r in sorted(roots, key=abs)[:2])
             for roots in np.linalg.eigvals(companion).tolist()]
-    return [(z, (1.0 - z) * (1.0 + z) / z) for z in (*rows[0], rows[1][0])]
+    points = []
+    for z, b_z in ((rows[0][0], b), (rows[0][1], b), (rows[1][0], -2.0)):
+        # With v = |z| = 1 - u and w = 1 - z^2 = u (2 - u) the quartic reads
+        # c v^2 - w (v^2 + 1 +- b_z v) = 0, whose terms keep their digits as u -> 0.
+        side, u = math.copysign(1.0, z), 1.0 - abs(z)
+        v, w = 1.0 - u, u * (2.0 - u)
+        rest = v * v + 1.0 + side * b_z * v
+        u -= (c * v * v - w * rest) / (w * (2.0 * v + side * b_z) - 2.0 * v * (c + rest))
+        z = side * (1.0 - u)
+        points.append((z, u * (2.0 - u) / z))
+    return points
 
 
 def _lattice_root(params: SystemParams, e1: complex, location: str,

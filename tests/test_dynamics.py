@@ -121,6 +121,9 @@ class TestEvolve:
         mode = evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
                       t_grid, fig3a_params)
         assert np.max(np.abs(site.p_dark - mode.p_dark)) <= 1e-8
+        site_final = site.final_state.to_representation("mode", fig3a_params)
+        assert np.max(np.abs(site_final.atom - mode.final_state.atom)) <= 1e-12
+        assert np.max(np.abs(site_final.photon - mode.final_state.photon)) <= 1e-12
 
     def test_effective_full_agreement(self, fig3a_params):
         t_grid = np.linspace(0, 50, 1001)
@@ -146,7 +149,17 @@ class TestStepSizeTooLarge:
     def test_kappa_zero_names_the_step(self, fig3a_params, monkeypatch):
         monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
         p = fig3a_params.replace(kappa=0.0)
-        with pytest.raises(StepSizeTooLarge, match=r"grew by 2\.027e\+01 in one step"):
+        message = (r"dt = 2 \(n_sub = 1\) grows norm\^2 by up to 1\.031e\+02 per step, "
+                   r"above NORM_GROWTH_TOL = 1e-06")
+        with pytest.raises(StepSizeTooLarge, match=message):
+            evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
+
+    def test_kappa_zero_raises_before_propagating(self, fig3a_params, monkeypatch):
+        # Calling the kernel would raise TypeError: the check must come first.
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        p = fig3a_params.replace(kappa=0.0)
+        with pytest.raises(StepSizeTooLarge):
             evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
 
     def test_kappa_positive(self, fig3a_params, monkeypatch):

@@ -75,8 +75,8 @@ def _reference_evolve(psi0, t_grid, params):
     """The structured blocks shifted by the same centroid as ``evolve``, through the loop."""
     t_grid, dt_grid = check_time_grid(t_grid)
     atom_block, coupling, photon_diag = hamiltonian_blocks(params, psi0.model, psi0.representation)
-    photon_levels = [params.band_lower, params.band_upper] if photon_diag is None else photon_diag.real
-    centroid, n_sub, dt = step_rule(np.concatenate([np.diag(atom_block).real, photon_levels]), dt_grid)
+    levels = np.concatenate([np.diag(atom_block).real, params.mode_frequencies()])
+    centroid, n_sub, dt = step_rule(levels, dt_grid)
     atom_block = atom_block - centroid * np.eye(atom_block.shape[0])
     if photon_diag is not None:
         photon_diag = photon_diag - centroid

@@ -139,6 +139,27 @@ class TestBoundStates:
             bq = s.residue_weight * s.pole_amplitude
             assert abs(bq - asymptote[s.location]) <= 1e-3 * abs(asymptote[s.location])
 
+    @pytest.mark.parametrize("g", [1e-2, 1e-3, 1e-4])
+    def test_weak_coupling_matches_extended_precision(self, fig2_params, g):
+        # B Q from a 50-digit solve of the same quartic, z^4 + b z^3 + c z^2 - b z - 1 = 0.
+        mpmath = pytest.importorskip("mpmath")
+        scale = g / fig2_params.g
+        p = fig2_params.replace(g1=fig2_params.g1 * scale, g2=fig2_params.g2 * scale)
+        e1 = 20.5
+        bs = find_bound_states(p, complex(e1))
+        with mpmath.workdps(50):
+            xi, omega0, g_mp, e1_mp = (mpmath.mpf(v) for v in (p.xi, p.omega0, p.g, e1))
+            b, c = (omega0 - e1_mp) / xi, (g_mp / xi) ** 2
+            roots = mpmath.polyroots([1, b, c, -b, -1], maxsteps=200, extraprec=200)
+            for s in bs.states:
+                sign = 1 if s.location == "above_band" else -1
+                (z,) = [r.real for r in roots if abs(r.imag) < 1e-40 and 0 < sign * r.real < 1]
+                shift, root_s = xi * (z + 1 / z), 1 / z - z
+                s2 = (xi * root_s) ** 2
+                expected = s2 / (s2 + (omega0 + shift - e1_mp) * shift) * g_mp / (xi * root_s)
+                got = s.residue_weight * s.pole_amplitude
+                assert abs(got - complex(expected)) <= 1e-12 * abs(complex(expected))
+
     def test_debug_log_names_the_steps(self, fig2_params, caplog):
         caplog.set_level("DEBUG", logger="qbsim.spectral")
         find_bound_states(fig2_params, 20.5 + 0j)
