@@ -84,11 +84,6 @@ def _join_parity(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.concatenate([neg[::-1], even[:1], pos])
 
 
-def _rk4_factor(z):
-    """RK4 stability polynomial sum_{j<=4} z^j/j!: one step of y' = a y scales y by P(dt a)."""
-    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-
-
 def _odd_norm2(odd: np.ndarray, factor: np.ndarray, n_samples: int) -> np.ndarray:
     """sum_k |odd_k factor_k^i|^2 for i < n_samples, in blocks of samples so memory stays O(N)."""
     log_decay = np.log(np.abs(factor) ** 2)
@@ -256,7 +251,7 @@ def evolve(
         # The even diagonal holds every odd level (omega_k = omega_-k), max|lambda|
         # >= max|h_ii|, and |P(iy)|^2 > 1 only for |y| > 2 sqrt(2), increasing there:
         # no odd mode grows unless an even eigencomponent grows at least as fast.
-        growth = np.max(np.abs(_rk4_factor(-1j * dt * np.linalg.eigvalsh(h))) ** 2) - 1.0
+        growth = np.max(np.abs(_kernels.rk4_factor(-1j * dt * np.linalg.eigvalsh(h))) ** 2) - 1.0
         if growth > NORM_GROWTH_TOL:
             raise StepSizeTooLarge(
                 f"RK4 step dt = {dt:.4g} (n_sub = {n_sub}) grows norm^2 by up to {growth:.3e} "
@@ -267,7 +262,7 @@ def evolve(
     t0 = time.perf_counter()
     atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
         h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
-    odd_factor = _rk4_factor(-1j * dt * (even_levels[1:].real - centroid)) ** n_sub
+    odd_factor = _kernels.rk4_factor(-1j * dt * (even_levels[1:].real - centroid)) ** n_sub
     norm2 = norm2 + _odd_norm2(odd0, odd_factor, nt)
     logger.debug(
         "evolve %s/%s: dim %d, n_sub %d, dt %.4g, %d RK4 steps; matrix %.4f s, propagation %.4f s; "

@@ -8,8 +8,9 @@ polynomial in dt*H as the kernel's step matrix, so the two agree up to
 rounding.
 
 ``_reference_rk4_lindblad`` is the dense k1..k4 master-equation loop,
-re-Hermitized after every step.  The kernel's four Horner stages are the
-same polynomial in dt*L, so the samples agree up to rounding too.
+re-Hermitized after every step.  The kernel applies the same polynomial
+in dt*L, as four Horner stages or in the eigenbasis of H_eff, so the
+samples agree up to rounding too.
 """
 
 import numpy as np
@@ -17,7 +18,13 @@ import pytest
 
 from qbsim import effective_hamiltonian
 from qbsim._kernels import _matrix_power, _rk4_step_matrix
-from qbsim.dynamics import check_time_grid, evolve, initial_state_photon_at_site, step_rule
+from qbsim.dynamics import (
+    check_time_grid,
+    evolve,
+    initial_state_atom_m,
+    initial_state_photon_at_site,
+    step_rule,
+)
 from qbsim.lindblad import (
     D_IDX,
     SINK,
@@ -160,13 +167,7 @@ def _reference_lindblad_evolve(rho0, t_grid, params, collapse):
                                    collapse == "dephasing")
 
 
-@pytest.mark.parametrize("kappa_zero", [True, False], ids=["kappa0", "kappa"])
-@pytest.mark.parametrize("collapse", ["jump_to_ground", "dephasing"])
-def test_lindblad_matches_step_by_step_rk4(fig3a_params, collapse, kappa_zero):
-    p = fig3a_params.replace(n_cavities=21)
-    p = p.replace(kappa=0.0) if kappa_zero else p
-    rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
-    t_grid = np.linspace(0.0, 2.0, 21)
+def _assert_lindblad_matches_reference(rho0, t_grid, p, collapse):
     lb = lindblad_evolve(rho0, t_grid, p, collapse)
     rho_ref, tr_ref = _reference_lindblad_evolve(rho0, t_grid, p, collapse)
     ref = [DensityMatrix(rho, p) for rho in rho_ref]
@@ -175,3 +176,30 @@ def test_lindblad_matches_step_by_step_rk4(fig3a_params, collapse, kappa_zero):
     assert np.max(np.abs(lb.atom_amps - np.real(rho_ref[:, D_IDX:, D_IDX:][:, range(3), range(3)]))) <= 1e-12
     assert np.max(np.abs(lb.final_rho.rho - rho_ref[-1])) <= 1e-12
     assert lb.final_rho.hermiticity_defect() == 0.0
+
+
+# Sites 3 and N - 2 = 19 start with the photon away from the atom, as the lindblad benchmark does.
+@pytest.mark.parametrize("kappa_zero, site", [
+    pytest.param(kappa_zero, site,
+                 id=("kappa0" if kappa_zero else "kappa") + (f"-site{site}" if site else ""))
+    for site in (0, 3, 19) for kappa_zero in (True, False)])
+@pytest.mark.parametrize("collapse", ["jump_to_ground", "dephasing"])
+def test_lindblad_matches_step_by_step_rk4(fig3a_params, collapse, kappa_zero, site):
+    p = fig3a_params.replace(n_cavities=21)
+    p = p.replace(kappa=0.0) if kappa_zero else p
+    rho0 = initial_density_matrix(initial_state_photon_at_site(site, p, "full", "site"), p)
+    _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 2.0, 21), p, collapse)
+
+
+def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params, caplog):
+    # With the array decoupled and d, e degenerate, two eigenvalues of the atom block
+    # of H_eff coalesce at kappa = 170.0340244, where cond(V) is about 1e7; the
+    # eigenbasis would lose digits there.  dt = 0.01 keeps dt kappa inside RK4's
+    # stability interval.
+    p = fig3a_params.replace(n_cavities=21, g1=0.0, g2=0.0, delta_e=fig3a_params.omega_d_real,
+                             omega_e_level=fig3a_params.omega_d_real, kappa=170.0340244)
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    rho0 = initial_density_matrix(initial_state_atom_m(p, "full"), p)
+    _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 1.0, 101), p, "jump_to_ground")
+    (record,) = caplog.records
+    assert record.getMessage().endswith("; Horner stages")

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbsim import dynamics
+from qbsim import dynamics, lindblad
 from qbsim.dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
 from qbsim.errors import StepSizeTooLarge, TraceDrift
 from qbsim.lindblad import initial_density_matrix, lindblad_evolve, population_report
@@ -139,3 +139,21 @@ def test_debug_log_names_the_steps(small_params, caplog):
     assert record.getMessage().startswith("lindblad_evolve dephasing: dim 25, n_sub ")
     assert "RK4 steps, trace drift " in record.getMessage()
     assert "; propagation " in record.getMessage()
+
+
+def test_debug_log_names_the_eigenbasis(small_params, caplog):
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    psi0 = initial_state_photon_at_site(3, small_params, "full", "site")
+    lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params)
+    (record,) = caplog.records
+    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, n_sub ")
+    head, cond_v = record.getMessage().rsplit("; eigenbasis, cond(V) ", 1)
+    assert "RK4 steps, trace drift " in head and "; propagation " in head
+    assert 1.0 <= float(cond_v) <= 10.0
+
+
+def test_wrong_dim_rejected_before_propagating(small_params, monkeypatch):
+    monkeypatch.setattr(lindblad, "_full_hermitian_hamiltonian", None)  # nothing may be built
+    rho0 = initial_density_matrix(initial_state_photon_at_site(0, small_params, "full", "site"), small_params)
+    with pytest.raises(ValueError, match=r"rho0 has dim 25, but N = 53 needs dim 57"):
+        lindblad_evolve(rho0, np.linspace(0, 1, 11), small_params.replace(n_cavities=53))

@@ -59,7 +59,6 @@ def test_qbsim_out_env_var(tmp_path, capsys, monkeypatch, fig3a_params):
     assert (tmp_path / "envout" / "envtest_series.csv").exists()
 
 
-@pytest.mark.slow
 def test_lindblad_matches_non_hermitian_at_full_size(fig3a_params):
     # Full reference scenario (N = 253): the master equation tracks the
     # non-Hermitian curve within 0.03 absolute over [0, 30] (it is in fact
