@@ -163,8 +163,9 @@ def rk4_lindblad(
     rho = rho0.astype(complex)
     rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian, so every Horner stage stays so
     if not dephasing:
-        lam, v, w, cond_v = _sink_padded_eig(h_eff, sink_index)
+        lam, v, cond_v = _sink_padded_eig(h_eff, sink_index)
         if cond_v <= max_cond:
+            w = np.linalg.inv(v)
             y = w @ rho @ w.conj().T
             del h_eff, rho, w  # keep only the eigenbasis arrays live while it propagates
             return (*_lindblad_eigenbasis(lam, v, y, kappa, d_index, sink_index, dt, n_sub, n_samples),
@@ -174,19 +175,17 @@ def rk4_lindblad(
 
 
 def _sink_padded_eig(h_eff: np.ndarray, sink: int):
-    """(lambda, V, V^-1, cond(V)) of h_eff, whose sink row and column are zero.
+    """(lambda, V, cond(V)) of h_eff, whose sink row and column are zero.
 
     The excited block is diagonalized; the sink is eigenvalue 0 with
-    eigenvector e_sink, and cond(V) is that of the excited block.
+    eigenvector e_sink.
     """
     excited = np.flatnonzero(np.arange(h_eff.shape[0]) != sink)
     block = np.ix_(excited, excited)
-    lam = np.zeros(h_eff.shape[0], dtype=complex)
-    v, w = np.zeros_like(h_eff), np.zeros_like(h_eff)
-    lam[excited], v_excited = np.linalg.eig(h_eff[block])
-    v[block], w[block] = v_excited, np.linalg.inv(v_excited)
-    v[sink, sink] = w[sink, sink] = 1.0
-    return lam, v, w, float(np.linalg.cond(v_excited))
+    lam, v = np.zeros(h_eff.shape[0], dtype=complex), np.zeros_like(h_eff)
+    lam[excited], v[block] = np.linalg.eig(h_eff[block])
+    v[sink, sink] = 1.0
+    return lam, v, float(np.linalg.cond(v))
 
 
 def _lindblad_eigenbasis(lam, v, y, kappa, d_index, sink, dt, n_sub, n_samples):
