@@ -17,21 +17,20 @@ parity-even sector (na + (N+1)/2 states), where a fig5 cell at N = 1001
 takes 0.11-0.15 s against 0.70-1.0 s at full dimension (one BLAS thread).
 
 Lindblad: with H_eff = H - i kappa/2 P_d and Z = -i dt H_eff, one RK4
-step is P(dt L), dt L(rho) = Z rho + rho Z^H + dt kappa rho_dd |j><j|,
-where j is the sink (jump-to-ground) or d (dephasing).  For
-jump-to-ground, H's sink row and column are zero, so H_eff = V diag(lam)
-V^-1 with the sink as eigenvalue 0, and Z rho + rho Z^H multiplies each
-element of y = V^-1 rho V^-H by mu_ab = -i dt (lam_a - conj lam_b).  The
-jump writes only y_sink,sink, where mu = 0, and reads nothing there, so
-one step is exactly y_ab <- P(mu_ab) y_ab plus
+step is P(dt L), dt L(rho) = Z rho + rho Z^H + dt kappa rho_dd |sink><sink|:
+the one master equation, whose jump takes d to the sink.  H's sink row
+and column are zero, so H_eff = V diag(lam) V^-1 with the sink as
+eigenvalue 0, and Z rho + rho Z^H multiplies each element of
+y = V^-1 rho V^-H by mu_ab = -i dt (lam_a - conj lam_b).  The jump
+writes only y_sink,sink, where mu = 0, and reads nothing there, so one
+step is exactly y_ab <- P(mu_ab) y_ab plus
 kappa dt sum_ab V_da conj(V_db) Q(mu_ab) y_ab into the sink, with
 Q(x) = 1 + x/2 + x^2/6 + x^3/24 (Hairer & Wanner, Solving ODEs II, IV.2):
 the same polynomial, dt and n_sub as the step-by-step loop, at O(dim^2)
 per sample after one ``eig``.  rho is rebuilt only at the end, made
 exactly Hermitian.  Near an exceptional point V is ill-conditioned and
-the eigenbasis loses digits, so above the caller's ``max_cond`` the
-Horner stages run instead; so does dephasing, whose kappa P_d rho P_d
-feeds rho_dd back into the system and is diagonal in no basis of H_eff.
+the eigenbasis loses digits, so above EIGENBASIS_MAX_COND the Horner
+stages run instead.
 
 The Horner stages write the step as r <- rho + (dt/k) L(r) for
 k = 4, 3, 2, 1, with Z_k = -i (dt/k) H_eff a sparse CSR matrix built once
@@ -47,10 +46,14 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import sparse
 
 #: There is no compiled backend; kept for run records that report it.
 USING_COMPILED = False
+#: Largest cond(V) of H_eff's eigenvectors at which ``rk4_lindblad`` runs in
+#: the eigenbasis; closer to an exceptional point the Horner stages run.
+#: Every preset at N = 21, 53 and 253, with and without kappa and g, has
+#: cond(V) 1.0-4.7; at 1.75e3 the eigenbasis moved rho by 5.9e-10.
+EIGENBASIS_MAX_COND = 1e3
 
 
 def _rk4_step_matrix(h: np.ndarray, dt: float, buf1: np.ndarray, buf2: np.ndarray) -> np.ndarray:
@@ -140,19 +143,14 @@ def rk4_lindblad(
     dt: float,
     n_sub: int,
     n_samples: int,
-    dephasing: bool = False,
-    *,
-    max_cond: float,
 ):
     """Propagate the master equation with jump sqrt(kappa)|sink><d|, sampling every n_sub steps.
 
-    drho/dt = -i[H, rho] - (kappa/2){Pd, rho} + kappa rho_dd |sink><sink|
-    (jump-to-ground), or the pure-dephasing variant
-    -i[H, rho] + kappa (Pd rho Pd - (1/2){Pd, rho}) when ``dephasing``.
+    drho/dt = -i[H, rho] - (kappa/2){Pd, rho} + kappa rho_dd |sink><sink|.
     The atom levels (d, e, m) are d_index .. d_index + 2, and the sink's
-    row and column of ``h_real`` must be zero.  Jump-to-ground runs in the
-    eigenbasis of H_eff when cond(V) <= ``max_cond``; otherwise, and for
-    dephasing, the Horner stages run.
+    row and column of ``h_real`` must be zero.  It runs in the eigenbasis
+    of H_eff when cond(V) <= EIGENBASIS_MAX_COND, otherwise in Horner
+    stages.
 
     Returns (atom_samples, trace_samples, rho_final, cond_v): the sampled
     3 x 3 atom block, tr rho, the last state, and cond(V) of the
@@ -162,16 +160,13 @@ def rk4_lindblad(
     h_eff[d_index, d_index] -= 0.5j * kappa
     rho = rho0.astype(complex)
     rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian, so every Horner stage stays so
-    if not dephasing:
-        lam, v, cond_v = _sink_padded_eig(h_eff, sink_index)
-        if cond_v <= max_cond:
-            w = np.linalg.inv(v)
-            y = w @ rho @ w.conj().T
-            del h_eff, rho, w  # keep only the eigenbasis arrays live while it propagates
-            return (*_lindblad_eigenbasis(lam, v, y, kappa, d_index, sink_index, dt, n_sub, n_samples),
-                    cond_v)
-    jump = d_index if dephasing else sink_index
-    return (*_lindblad_horner(h_eff, kappa, d_index, jump, rho, dt, n_sub, n_samples), None)
+    lam, v, cond_v = _sink_padded_eig(h_eff, sink_index)
+    if cond_v <= EIGENBASIS_MAX_COND:
+        w = np.linalg.inv(v)
+        y = w @ rho @ w.conj().T
+        del h_eff, rho, w  # keep only the eigenbasis arrays live while it propagates
+        return (*_lindblad_eigenbasis(lam, v, y, kappa, d_index, sink_index, dt, n_sub, n_samples), cond_v)
+    return (*_lindblad_horner(h_eff, kappa, d_index, sink_index, rho, dt, n_sub, n_samples), None)
 
 
 def _sink_padded_eig(h_eff: np.ndarray, sink: int):
@@ -230,8 +225,10 @@ def _lindblad_eigenbasis(lam, v, y, kappa, d_index, sink, dt, n_sub, n_samples):
     return atom_out, tr_out, 0.5 * (rho + rho.conj().T)
 
 
-def _lindblad_horner(h_eff, kappa, d_index, jump, rho, dt, n_sub, n_samples):
-    """RK4 as four Horner stages r <- rho + (dt/k) L(r), k = 4, 3, 2, 1, with jump |jump><d|."""
+def _lindblad_horner(h_eff, kappa, d_index, sink, rho, dt, n_sub, n_samples):
+    """RK4 as four Horner stages r <- rho + (dt/k) L(r), k = 4, 3, 2, 1, with jump |sink><d|."""
+    from scipy import sparse  # imported here: only this fallback needs scipy
+
     stages = [(sparse.csr_matrix(-1j * (dt / k) * h_eff), (dt / k) * kappa) for k in (4, 3, 2, 1)]
     r, lift = np.empty_like(rho), np.empty_like(rho)
     atom = slice(d_index, d_index + 3)
@@ -252,7 +249,7 @@ def _lindblad_horner(h_eff, kappa, d_index, jump, rho, dt, n_sub, n_samples):
                 np.conjugate(m.T, out=lift)
                 lift += m
                 np.add(rho, lift, out=r)
-                r[jump, jump] += jump_rate * dd
+                r[sink, sink] += jump_rate * dd
                 src = r
             rho, r = r, rho
         record(i)

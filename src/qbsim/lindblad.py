@@ -6,23 +6,21 @@ the truncated basis
 
     {|0,g>} u {|0,d>, |0,e>, |0,m>} u {site-j photon, atom in g},
 
-dimension N + 4, with dissipation carried by an explicit jump operator.
-The default channel sqrt(kappa)|0,g><0,d| is the minimal trace-preserving
+dimension N + 4, with dissipation carried by the jump operator
+sqrt(kappa)|0,g><0,d|.  That channel is the minimal trace-preserving
 completion of the complex energy omega_d_real - i*kappa/2: the excited
 sector then obeys a closed equation identical to the non-Hermitian pure
 state, so P_E1(t) matches the Schrodinger result up to integrator error.
-A pure-dephasing channel sqrt(kappa)|0,d><0,d| is available behind the
-``collapse`` switch.
 
-The jump-to-ground RK4 runs in the eigenbasis of H_eff = H - i kappa/2 P_d,
-where each step is a scalar per element plus the sink's gain: the same
-steps as the step-by-step loop at O(dim^2) per sample (see
-``qbsim._kernels``).  When cond(V) of that basis exceeds
-EIGENBASIS_MAX_COND (near an exceptional point of H_eff), and for
-dephasing, the kernel runs four sparse Horner stages per step instead.
-``lindblad_evolve`` logs each call's collapse model, dim, n_sub, dt, step
-count, trace drift, propagation time and kernel path (eigenbasis with its
-cond(V), or Horner stages) to ``qbsim.lindblad`` at DEBUG.
+The RK4 runs in the eigenbasis of H_eff = H - i kappa/2 P_d, where each
+step is a scalar per element plus the sink's gain: the same steps as the
+step-by-step loop at O(dim^2) per sample (see ``qbsim._kernels``).  Only
+when cond(V) of that basis exceeds ``_kernels.EIGENBASIS_MAX_COND`` (near
+an exceptional point of H_eff) does the kernel run four sparse Horner
+stages per step instead.  ``lindblad_evolve`` logs each call's dim,
+n_sub, dt, step count, trace drift, propagation time and kernel path
+(eigenbasis with its cond(V), or Horner stages) to ``qbsim.lindblad`` at
+DEBUG.
 """
 
 from __future__ import annotations
@@ -45,11 +43,6 @@ __all__ = ["DensityMatrix", "LindbladSeries", "lindblad_evolve", "initial_densit
 #: Basis index of the |0,g> sink; atom levels d, e, m follow, then sites.
 SINK, D_IDX, E_IDX, M_IDX = 0, 1, 2, 3
 TRACE_TOL = 1e-6
-#: Largest cond(V) of H_eff's eigenvectors at which jump-to-ground runs in
-#: the eigenbasis; closer to an exceptional point the Horner stages run.
-#: Every preset at N = 21, 53 and 253, with and without kappa and g, has
-#: cond(V) 1.0-4.7; at 1.75e3 the eigenbasis moved rho by 5.9e-10.
-EIGENBASIS_MAX_COND = 1e3
 
 logger = logging.getLogger("qbsim.lindblad")
 
@@ -112,7 +105,6 @@ def lindblad_evolve(
     rho0: DensityMatrix,
     t_grid: np.ndarray,
     params: SystemParams,
-    collapse: str = "jump_to_ground",
 ) -> LindbladSeries:
     """Propagate drho/dt = -i[H, rho] + D[L]rho and record P_E1(t).
 
@@ -122,8 +114,6 @@ def lindblad_evolve(
     Raises StepSizeTooLarge if tr rho stops being finite and TraceDrift
     if |tr rho - 1| exceeds 1e-6 at any sample; both name dt and n_sub.
     """
-    if collapse not in ("jump_to_ground", "dephasing"):
-        raise ValueError(f"unknown collapse model {collapse!r}")
     dim = params.n_cavities + 4
     if rho0.rho.shape != (dim, dim):
         raise ValueError(f"rho0 has dim {rho0.rho.shape[0]}, but N = {params.n_cavities} needs dim {dim}")
@@ -142,21 +132,12 @@ def lindblad_evolve(
     # An unstable step overflows rho; the trace checks below report it as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         block, traces, rho_final, cond_v = _kernels.rk4_lindblad(
-            h_shift,
-            params.kappa,
-            D_IDX,
-            SINK,
-            rho0.rho,
-            dt,
-            n_sub,
-            len(t_grid),
-            collapse == "dephasing",
-            max_cond=EIGENBASIS_MAX_COND,
-        )
+            h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
     drift = np.max(np.abs(traces - traces[0]))
     logger.debug(
-        "lindblad_evolve %s: dim %d, n_sub %d, dt %.4g, %d RK4 steps, trace drift %.3e; propagation %.4f s; %s",
-        collapse, h.shape[0], n_sub, dt, n_sub * (len(t_grid) - 1), drift, time.perf_counter() - t0,
+        "lindblad_evolve jump_to_ground: dim %d, n_sub %d, dt %.4g, %d RK4 steps, trace drift %.3e; "
+        "propagation %.4f s; %s",
+        h.shape[0], n_sub, dt, n_sub * (len(t_grid) - 1), drift, time.perf_counter() - t0,
         "Horner stages" if cond_v is None else f"eigenbasis, cond(V) {cond_v:.3g}")
     step = f"RK4 step dt = {dt:.4g}, n_sub = {n_sub}"
     if not np.all(np.isfinite(traces)):

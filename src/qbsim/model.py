@@ -97,7 +97,7 @@ def atom_eigensystem_perturbative(params: SystemParams) -> np.ndarray:
     return np.array([e1, omega + bright_shift, -omega + bright_shift], dtype=complex)
 
 
-def atom_eigensystem_exact(params: SystemParams, degeneracy_rtol: float = 1e-10) -> AtomEigensystem:
+def atom_eigensystem_exact(params: SystemParams) -> AtomEigensystem:
     """Diagonalize the atom block exactly and label the dark state.
 
     The three eigenvalues come from the 3x3 complex eigensolver (equivalent
@@ -106,16 +106,16 @@ def atom_eigensystem_exact(params: SystemParams, degeneracy_rtol: float = 1e-10)
     ordered [E1, E2, E3] by proximity to the perturbative triple, which is
     the continuity labelling from the kappa = 0, Oc -> 0 limit.
 
-    Raises DegenerateSpectrum when two eigenvalues agree to ``degeneracy_rtol``
-    relative to the spectral scale.
+    Raises DegenerateSpectrum when two eigenvalues agree to 1e-10 relative
+    to the spectral scale.
     """
     h = atom_hamiltonian(params)
     vals, vecs = np.linalg.eig(h)
     scale = max(np.max(np.abs(vals)), 1e-300)
     gaps = [abs(vals[i] - vals[j]) for i in range(3) for j in range(i + 1, 3)]
-    if min(gaps) <= degeneracy_rtol * scale:
+    if min(gaps) <= 1e-10 * scale:
         raise DegenerateSpectrum(
-            f"eigenvalue gap {min(gaps):.3e} below {degeneracy_rtol:.1e} * {scale:.3e}"
+            f"eigenvalue gap {min(gaps):.3e} below 1.0e-10 * {scale:.3e}"
         )
 
     anchors = atom_eigensystem_perturbative(params)

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import EdgeSingularity, NoConvergence, OnBranchCut
 from .params import SystemParams
@@ -423,13 +422,14 @@ def branch_cut_integral(
     params: SystemParams,
     e1: complex,
     initial: str = "photon",
-    epsabs: float = 1e-11,
 ) -> complex:
     """Adaptive Gauss-Kronrod quadrature of the branch-cut term at time t.
 
     Uses the substitution x = 2 xi sin(theta), which absorbs the
     1/sqrt(4 xi^2 - x^2) edge behaviour into a bounded integrand.
     """
+    from scipy import integrate  # imported here: importing qbsim need not pay for scipy
+
     if params.g == 0.0:
         return 0.0j
     density = _branch_cut_density(params, e1, initial)
@@ -445,9 +445,9 @@ def branch_cut_integral(
     # Oscillation count grows like 2*xi*t; cap subdivision accordingly.
     limit = int(200 + 4.0 * two_xi * abs(t))
     re, _ = integrate.quad(lambda th: integrand(th).real, -np.pi / 2, np.pi / 2,
-                           epsabs=epsabs, epsrel=1e-10, limit=limit)
+                           epsabs=1e-11, epsrel=1e-10, limit=limit)
     im, _ = integrate.quad(lambda th: integrand(th).imag, -np.pi / 2, np.pi / 2,
-                           epsabs=epsabs, epsrel=1e-10, limit=limit)
+                           epsabs=1e-11, epsrel=1e-10, limit=limit)
     return complex(re, im)
 
 

@@ -26,6 +26,14 @@ def small_config(tmp_path):
     return cfg, path
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports qbsim from this source tree."""
+    src = str(Path(qbsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestScenarioConfig:
     def test_round_trip_all_presets(self, tmp_path):
         for name in PRESET_NAMES:
@@ -61,14 +69,16 @@ class TestScenarioConfig:
 
 class TestCli:
     def test_python_m_qbsim_help(self):
-        src = str(Path(qbsim.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run([sys.executable, "-m", "qbsim", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = _fresh_python("-m", "qbsim", "--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: qbsim")
         assert "reproduce" in done.stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy was most of the start-up time, and no figure calls it.
+        done = _fresh_python("-c", "import sys, qbsim.cli; print([m for m in sys.modules if 'scipy' in m])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_invalid_xi_exit_code_2(self, tmp_path, capsys):
         data = preset("fig3a").to_dict()

@@ -16,7 +16,7 @@ samples agree up to rounding too.
 import numpy as np
 import pytest
 
-from qbsim import effective_hamiltonian
+from qbsim import _kernels, effective_hamiltonian
 from qbsim._kernels import _matrix_power, _rk4_step_matrix
 from qbsim.dynamics import (
     check_time_grid,
@@ -120,7 +120,7 @@ def test_three_buffer_power_matches_numpy(fig3a_params, n):
     assert np.max(np.abs(got - expected)) <= 1e-13
 
 
-def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub, n_samples, dephasing=False):
+def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub, n_samples):
     """Step-by-step dense RK4 of the master equation; returns (rho_samples, trace_samples)."""
     dim = h_real.shape[0]
     rho = rho0.astype(complex).copy()
@@ -135,10 +135,7 @@ def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub,
             dd = r[d_index, d_index]
             out[d_index, :] -= half * r[d_index, :]
             out[:, d_index] -= half * r[:, d_index]
-            if dephasing:
-                out[d_index, d_index] += kappa * dd
-            else:
-                out[sink_index, sink_index] += kappa * dd
+            out[sink_index, sink_index] += kappa * dd
         return out
 
     rho_out[0] = rho
@@ -156,20 +153,19 @@ def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub,
     return rho_out, tr_out
 
 
-def _reference_lindblad_evolve(rho0, t_grid, params, collapse):
+def _reference_lindblad_evolve(rho0, t_grid, params):
     """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, through the loop."""
     t_grid, dt_grid = check_time_grid(t_grid)
     h = _full_hermitian_hamiltonian(params)
     centroid, n_sub, dt = step_rule(np.diag(h).real[D_IDX:], dt_grid)
     h_shift = h - centroid * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
-    return _reference_rk4_lindblad(h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid),
-                                   collapse == "dephasing")
+    return _reference_rk4_lindblad(h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
 
 
-def _assert_lindblad_matches_reference(rho0, t_grid, p, collapse):
-    lb = lindblad_evolve(rho0, t_grid, p, collapse)
-    rho_ref, tr_ref = _reference_lindblad_evolve(rho0, t_grid, p, collapse)
+def _assert_lindblad_matches_reference(rho0, t_grid, p):
+    lb = lindblad_evolve(rho0, t_grid, p)
+    rho_ref, tr_ref = _reference_lindblad_evolve(rho0, t_grid, p)
     ref = [DensityMatrix(rho, p) for rho in rho_ref]
     assert np.max(np.abs(lb.norm2 - tr_ref)) <= 1e-12
     assert np.max(np.abs(lb.p_dark - [dm.dark_population() for dm in ref])) <= 1e-12
@@ -183,12 +179,17 @@ def _assert_lindblad_matches_reference(rho0, t_grid, p, collapse):
     pytest.param(kappa_zero, site,
                  id=("kappa0" if kappa_zero else "kappa") + (f"-site{site}" if site else ""))
     for site in (0, 3, 19) for kappa_zero in (True, False)])
-@pytest.mark.parametrize("collapse", ["jump_to_ground", "dephasing"])
-def test_lindblad_matches_step_by_step_rk4(fig3a_params, collapse, kappa_zero, site):
+@pytest.mark.parametrize("path", ["eigenbasis", "horner"])
+def test_lindblad_matches_step_by_step_rk4(fig3a_params, path, kappa_zero, site, monkeypatch, caplog):
+    if path == "horner":  # cond(V) >= 1 always, so the Horner stages run
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
     p = fig3a_params.replace(n_cavities=21)
     p = p.replace(kappa=0.0) if kappa_zero else p
     rho0 = initial_density_matrix(initial_state_photon_at_site(site, p, "full", "site"), p)
-    _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 2.0, 21), p, collapse)
+    _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 2.0, 21), p)
+    (record,) = caplog.records
+    assert ("; Horner stages" if path == "horner" else "; eigenbasis, cond(V) ") in record.getMessage()
 
 
 def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params, caplog):
@@ -200,6 +201,6 @@ def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params,
                              omega_e_level=fig3a_params.omega_d_real, kappa=170.0340244)
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
     rho0 = initial_density_matrix(initial_state_atom_m(p, "full"), p)
-    _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 1.0, 101), p, "jump_to_ground")
+    _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 1.0, 101), p)
     (record,) = caplog.records
     assert record.getMessage().endswith("; Horner stages")

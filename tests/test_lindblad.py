@@ -82,17 +82,6 @@ def test_sink_collects_everything_at_strong_decay(small_params):
     assert rep["ground_vacuum"] > 0.99
 
 
-def test_dephasing_variant_preserves_trace(small_params):
-    p = small_params
-    psi0 = initial_state_photon_at_site(0, p, "full", "site")
-    t_grid = np.linspace(0, 10, 201)
-    lb = lindblad_evolve(initial_density_matrix(psi0, p), t_grid, p, collapse="dephasing")
-    assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-8
-    # dephasing keeps the excitation: no sink population
-    rep = population_report(lb.final_rho)
-    assert rep["ground_vacuum"] <= 1e-10
-
-
 @pytest.mark.parametrize("propagate", ["evolve", "lindblad_evolve"])
 @pytest.mark.parametrize("t_grid, message", [
     (np.array([0.0]), "at least two points"),
@@ -132,11 +121,10 @@ def test_trace_drift_names_the_step(small_params, monkeypatch):
 def test_debug_log_names_the_steps(small_params, caplog):
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
-    lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params,
-                    collapse="dephasing")
+    lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params)
     (record,) = caplog.records
     assert record.name == "qbsim.lindblad"
-    assert record.getMessage().startswith("lindblad_evolve dephasing: dim 25, n_sub ")
+    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, n_sub ")
     assert "RK4 steps, trace drift " in record.getMessage()
     assert "; propagation " in record.getMessage()
 
