@@ -12,9 +12,10 @@ builds P by Horner's rule (3 matrix products) and its n_sub-th power by
 binary powering, in H's storage plus two buffers (3 x 16 dim^2 bytes),
 then advances each sample with one matrix-vector product; dt, n_sub and
 the truncation error are those of the step-by-step loop.  One code path
-serves both models at every kappa; ``evolve`` passes it only the
-parity-even sector (na + (N+1)/2 states), where a fig5 cell at N = 1001
-takes 0.11-0.15 s against 0.70-1.0 s at full dimension (one BLAS thread).
+serves the full model, and the effective model wherever ``evolve``'s
+eigenbasis path falls back, at every kappa; ``evolve`` passes it only the
+parity-even sector (na + (N+1)/2 states).  It stays the reference the
+eigenbasis path is tested against.
 
 Lindblad: with H_eff = H - i kappa/2 P_d and Z = -i dt H_eff, one RK4
 step is P(dt L), dt L(rho) = Z rho + rho Z^H + dt kappa rho_dd |sink><sink|:

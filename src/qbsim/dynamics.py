@@ -16,22 +16,51 @@ the reflection j -> -j (mod N) about the atom's cavity, so the atom couples
 only to k = 0 and (|k> + |-k>)/sqrt(2); the (N-1)/2 odd states
 (|k> - |-k>)/sqrt(2) never reach it and are eigenstates of H, so each odd
 amplitude advances in closed form by the scalar RK4 factor
-P(-i dt (omega_k - centroid))^n_sub per sample.  The even sector, na +
-(N+1)/2 states, goes to ``_kernels.rk4_schrodinger`` as the dense, shifted
-H of the ``even`` blocks: one precomputed matrix P(-i dt H)^n_sub per
-sample at every kappa, 3 x 16 dim^2 bytes; a fig5 cell at N = 1001 takes
-0.11-0.15 s on one BLAS thread.  Site-space states are propagated in the
-mode basis; ``norm2`` and ``final_state`` describe the full state.
-StepSizeTooLarge is raised before propagating, at kappa = 0, if one RK4
-step grows the norm^2 of an eigencomponent by more than NORM_GROWTH_TOL:
-the factor is |P(-i dt lambda)|^2 = 1 - y^6/72 + y^8/576, y = dt lambda
-(Hairer & Wanner, Solving ODEs II, IV.2), and a state's one-step ratio is
-its weighted mean, so ``eigvalsh`` of the shifted even H bounds every step
-(E1's rounding-level imaginary part is ignored); and after propagating,
-at every kappa, if norm^2 rises above its start by more than
-NORM_GROWTH_TOL or is not finite.  Each call logs its model,
-representation, dims, n_sub, dt, step count and the time spent building
-the matrix and propagating to the ``qbsim.dynamics`` logger at DEBUG level.
+P(-i dt (omega_k - centroid))^n_sub per sample.  Site-space states are
+propagated in the mode basis; ``norm2`` and ``final_state`` describe the
+full state.
+
+The effective model's even H is an arrowhead matrix: E1 coupled by real
+c_k to the (N+1)/2 distinct mode energies.  Its eigenvalues lambda_j are
+``spectral.even_sector_roots``, its eigenvectors v_j = (1, c_k/(lambda_j -
+omega_k)), and psi0 = sum_j r_j v_j with r_j = v_j^T psi0 / v_j^T v_j (H is
+complex symmetric, so v_j^T are the left eigenvectors).  One RK4 step
+scales the component along v_j exactly by P(-i dt (lambda_j - centroid)),
+so sample i is psi = V (r o G^i), G_j = P(-i dt (lambda_j - centroid))^n_sub:
+the same dt, n_sub and polynomial as the dense kernel, to rounding, with
+u = sum_j r_j G_j^i.  The G^i come from cumulative products of G in blocks
+of about 2^14/dim samples, so the extra working set is O(block dim), not
+O(nt dim).  norm2 stays O(dim^2) per sample: at kappa > 0 the v_j are not
+orthogonal (H is not normal), so |psi|^2 needs all of V (r o G^i), one
+matrix product per block.  At weak coupling lambda_j - omega_k of the
+nearest mode keeps only the roots' absolute digits, so that distance is
+taken from the secular equation as a quadratic in it.  At g = 0 H is
+diagonal and each amplitude advances by its own factor.  The path falls
+back to the dense kernel, and the DEBUG line says which guard failed, when
+the root search fails to converge (the phase equation's arctan crosses its
+branch cut when |Im E1| >> g^2/xi), when two roots lie within
+MIN_ROOT_GAP xi (near an exceptional point), or when the sum rules
+sum_j r_j = u(0) and sum_j r_j (lambda_j - centroid) = ((H - centroid)
+psi0)_atom miss by more than SUM_RULE_TOL |psi0|.  The full model always
+runs on the dense kernel, which stays the tests' reference.
+
+The dense kernel, ``_kernels.rk4_schrodinger``, takes the na + (N+1)/2
+even states as the dense, shifted H of the ``even`` blocks: one
+precomputed matrix P(-i dt H)^n_sub per sample at every kappa,
+3 x 16 dim^2 bytes.
+
+StepSizeTooLarge is raised before propagating if one RK4 step grows the
+norm^2 of an eigencomponent by more than NORM_GROWTH_TOL: the factor is
+|P(-i dt lambda)|^2 = 1 - y^6/72 + y^8/576, y = dt lambda (Hairer &
+Wanner, Solving ODEs II, IV.2), and a state's one-step ratio is its
+weighted mean.  The eigenbasis path reads it from the roots and the odd
+levels at every kappa; the dense path, at kappa = 0 only, from
+``eigvalsh`` of the shifted even H (E1's rounding-level imaginary part is
+ignored).  After propagating, at every kappa, it is raised if norm^2 rises
+above its start by more than NORM_GROWTH_TOL or is not finite.  Each call
+logs its model, representation, dims, n_sub, dt, step count, the time
+spent on the roots (or the matrix) and on propagating, and the path to
+the ``qbsim.dynamics`` logger at DEBUG level.
 """
 
 from __future__ import annotations
@@ -43,8 +72,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .errors import IndexOutOfRange, OutOfRange, StepSizeTooLarge
+from . import _kernels, spectral
+from .errors import IndexOutOfRange, NoConvergence, OutOfRange, StepSizeTooLarge
 from .model import assemble_hamiltonian, dark_state_vector, hamiltonian_blocks
 from .params import SystemParams
 
@@ -66,6 +95,11 @@ STEP_FACTOR = 0.02
 
 #: Allowed norm^2 growth: per step of an eigencomponent at kappa = 0, and over the trajectory.
 NORM_GROWTH_TOL = 1e-6
+
+#: Eigenbasis guards: the smallest gap between roots, over xi, and the
+#: sum-rule residuals, over |psi| (module docstring).
+MIN_ROOT_GAP = 1e-8
+SUM_RULE_TOL = 1e-13
 
 logger = logging.getLogger("qbsim.dynamics")
 
@@ -224,6 +258,90 @@ def step_rule(diag: np.ndarray, dt_grid: float) -> tuple[float, int, float]:
     return centroid, n_sub, dt_grid / n_sub
 
 
+def _check_step(lam: np.ndarray, dt: float, n_sub: int) -> None:
+    """Raise StepSizeTooLarge if one RK4 step grows the norm^2 of an eigencomponent beyond tolerance."""
+    growth = np.max(np.abs(_kernels.rk4_factor(-1j * dt * lam)) ** 2) - 1.0
+    if growth > NORM_GROWTH_TOL:
+        raise StepSizeTooLarge(
+            f"RK4 step dt = {dt:.4g} (n_sub = {n_sub}) grows norm^2 by up to {growth:.3e} "
+            f"per step, above NORM_GROWTH_TOL = {NORM_GROWTH_TOL:g}")
+
+
+def _even_eigenbasis(params: SystemParams, e1: complex, coupling: np.ndarray, levels: np.ndarray,
+                     centroid: float, psi: np.ndarray):
+    """(lambda - centroid, V, r) of the effective model's even H, and the path for the log.
+
+    ``coupling`` holds the real c_k and ``levels`` omega_k - omega0 of the
+    even modes.  Column j of V is v_j = (1, c_k/(lambda_j - omega_k)), and
+    psi = V r.  Returns (None, "dense (...)") naming the first guard that
+    fails (module docstring).
+    """
+    dim = len(psi)
+    if params.g == 0.0:  # H is diagonal: each amplitude advances by its own factor
+        lam = np.r_[e1 - params.omega0, levels] + (params.omega0 - centroid)
+        return (lam, np.eye(dim, dtype=complex), psi), "eigenbasis"
+    try:
+        lam = spectral.even_sector_roots(params, e1)
+    except NoConvergence as exc:
+        return None, f"dense ({exc})"
+    gap = np.min(np.abs(np.diff(lam)))
+    if not gap > MIN_ROOT_GAP * params.xi:
+        return None, f"dense (roots {gap:.3g} apart)"
+    dist = lam - levels[:, None]  # lambda_j - omega_k
+    near, cols = np.argmin(np.abs(dist), axis=0), np.arange(dim)
+    vecs = np.empty((dim, dim), dtype=complex)
+    vecs[0] = 1.0
+    np.divide(coupling[:, None], dist, out=vecs[1:])
+    # lambda_j - omega_k keeps only the roots' absolute digits, which the nearest
+    # mode's component loses at weak coupling.  That distance d solves the secular
+    # equation as the quadratic d^2 + b d - c_k^2 = 0, b = omega_k - E1 - (the other
+    # modes' terms at lambda_j); take its root nearer the first value.
+    vecs[1 + near, cols] = 0.0
+    b = levels[near] - (e1 - params.omega0) - coupling @ vecs[1:]
+    c2 = coupling[near] ** 2
+    q = np.sqrt(b * b + 4.0 * c2)
+    q = -0.5 * np.where(np.abs(b + q) >= np.abs(b - q), b + q, b - q)
+    first = dist[near, cols]
+    vecs[1 + near, cols] = coupling[near] / np.where(np.abs(q - first) <= np.abs(c2 / q + first),
+                                                     q, -c2 / q)
+    res = (psi @ vecs) / np.einsum("ij,ij->j", vecs, vecs)
+    lam = lam + (params.omega0 - centroid)
+    # Sum rules: the atom rows of psi = V r and of (H - centroid) psi = V (lambda r).
+    drift = (abs(res.sum() - psi[0]),
+             abs(res @ lam - (e1 - centroid) * psi[0] - coupling @ psi[1:]) / np.max(np.abs(lam)))
+    if not max(drift) <= SUM_RULE_TOL * math.sqrt(np.vdot(psi, psi).real):
+        return None, f"dense (sum rules off by {drift[0]:.3g}, {drift[1]:.3g})"
+    return (lam, vecs, res), "eigenbasis"
+
+
+def _eigenbasis_samples(lam: np.ndarray, vecs: np.ndarray, res: np.ndarray, dt: float, n_sub: int,
+                        n_samples: int):
+    """Samples i < n_samples of psi = V (r o G^i), G = P(-i dt lambda)^n_sub, as ``rk4_schrodinger``.
+
+    The coefficients come from cumulative products of G in blocks of about
+    2^14/dim samples, so the working set stays O(dim) per sample of a block.
+    Returns (atom_samples, norm2_samples, psi_final).
+    """
+    dim = len(lam)
+    step = _kernels.rk4_factor(-1j * dt * lam) ** n_sub
+    block = max(1, (1 << 14) // dim)
+    coef = np.empty((min(block, n_samples), dim), dtype=complex)
+    atom_out = np.empty((n_samples, 1), dtype=complex)
+    norm_out = np.empty(n_samples)
+    last = res
+    for start in range(0, n_samples, block):
+        rows = coef[:min(block, n_samples - start)]
+        rows[0] = last
+        rows[1:] = step
+        np.cumprod(rows, axis=0, out=rows)
+        psi = rows @ vecs.T
+        atom_out[start:start + len(rows), 0] = psi[:, 0]
+        norm_out[start:start + len(rows)] = np.einsum("ij,ij->i", psi.real, psi.real) + np.einsum(
+            "ij,ij->i", psi.imag, psi.imag)
+        last = rows[-1] * step
+    return atom_out, norm_out, vecs @ rows[-1]
+
+
 def evolve(
     psi0: WaveFunction,
     t_grid: np.ndarray,
@@ -234,40 +352,49 @@ def evolve(
 
     ``t_grid`` must be a uniform, increasing grid starting at 0.  The RK4
     substep follows ``step_rule`` over the diagonal of the even-sector H in
-    either representation.  Raises StepSizeTooLarge as the module docstring
-    says: at kappa = 0 before propagating, and if the norm grows or stops
-    being finite.
+    either representation.  The effective model runs in the eigenbasis of
+    its even H unless a guard fails (module docstring).  Raises
+    StepSizeTooLarge as the module docstring says: before propagating on
+    the eigenbasis path and, on the dense path, at kappa = 0; and if the
+    norm grows or stops being finite.
     """
     t_grid, dt_grid = check_time_grid(t_grid)
 
     psi_mode = psi0.to_representation("mode", params)
     even0, odd0 = _split_parity(psi_mode.photon)
-    blocks = hamiltonian_blocks(params, psi0.model, "even", e1)
-    _, _, even_levels = blocks
-    h = assemble_hamiltonian(params, *blocks)
-    centroid, n_sub, dt = step_rule(np.diag(h).real, dt_grid)
-    h.flat[:: h.shape[0] + 1] -= centroid
-    if params.kappa == 0.0:
-        # The even diagonal holds every odd level (omega_k = omega_-k), max|lambda|
-        # >= max|h_ii|, and |P(iy)|^2 > 1 only for |y| > 2 sqrt(2), increasing there:
-        # no odd mode grows unless an even eigencomponent grows at least as fast.
-        growth = np.max(np.abs(_kernels.rk4_factor(-1j * dt * np.linalg.eigvalsh(h))) ** 2) - 1.0
-        if growth > NORM_GROWTH_TOL:
-            raise StepSizeTooLarge(
-                f"RK4 step dt = {dt:.4g} (n_sub = {n_sub}) grows norm^2 by up to {growth:.3e} "
-                f"per step, above NORM_GROWTH_TOL = {NORM_GROWTH_TOL:g}")
-
+    atom_block, coupling, even_levels = hamiltonian_blocks(params, psi0.model, "even", e1)
+    centroid, n_sub, dt = step_rule(np.r_[np.diag(atom_block).real, even_levels.real], dt_grid)
+    odd_shift = even_levels[1:].real - centroid
     na, nt = len(psi0.atom), len(t_grid)
     psi_init = np.concatenate([psi_mode.atom, even0])
+
     t0 = time.perf_counter()
-    atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
-        h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
-    odd_factor = _kernels.rk4_factor(-1j * dt * (even_levels[1:].real - centroid)) ** n_sub
+    basis, path = None, "dense (full model)"
+    if psi0.model == "effective":
+        basis, path = _even_eigenbasis(params, complex(atom_block[0, 0]), coupling[0].real,
+                                       even_levels.real - params.omega0, centroid, psi_init)
+    if basis is not None:
+        lam, vecs, res = basis
+        _check_step(np.r_[lam, odd_shift], dt, n_sub)
+        build_s = time.perf_counter() - t0
+        atom_amps, norm2, psi_final = _eigenbasis_samples(lam, vecs, res, dt, n_sub, nt)
+    else:
+        h = assemble_hamiltonian(params, atom_block, coupling, even_levels)
+        h.flat[:: h.shape[0] + 1] -= centroid
+        if params.kappa == 0.0:
+            # The even diagonal holds every odd level (omega_k = omega_-k), max|lambda|
+            # >= max|h_ii|, and |P(iy)|^2 > 1 only for |y| > 2 sqrt(2), increasing there:
+            # no odd mode grows unless an even eigencomponent grows at least as fast.
+            _check_step(np.linalg.eigvalsh(h), dt, n_sub)
+        atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
+            h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
+    odd_factor = _kernels.rk4_factor(-1j * dt * odd_shift) ** n_sub
     norm2 = norm2 + _odd_norm2(odd0, odd_factor, nt)
     logger.debug(
-        "evolve %s/%s: dim %d, n_sub %d, dt %.4g, %d RK4 steps; matrix %.4f s, propagation %.4f s; "
+        "evolve %s/%s: dim %d, n_sub %d, dt %.4g, %d RK4 steps; %s %.4f s, propagation %.4f s; %s; "
         "even dim %d", psi0.model, psi0.representation, na + params.n_cavities, n_sub, dt,
-        n_sub * (nt - 1), build_s, time.perf_counter() - t0 - build_s, len(psi_init))
+        n_sub * (nt - 1), "matrix" if basis is None else "roots", build_s,
+        time.perf_counter() - t0 - build_s, path, len(psi_init))
     if not np.all(np.isfinite(norm2)) or norm2.max() > norm2[0] * (1.0 + NORM_GROWTH_TOL):
         raise StepSizeTooLarge(
             f"norm^2 grew from {norm2[0]:.6g} to {norm2.max():.6g} with RK4 step dt = {dt:.4g}")

@@ -37,6 +37,21 @@ outer +- (max(+-(Re E1 - outer), 0) + g + xi).  Beyond ``outer``
 |Sigma| and the bracket holds every root except one closer than 1e-13 xi
 to ``outer``, which raises NoConvergence.
 
+The same sum gives every eigenvalue of the effective model's parity-even
+H, an arrowhead matrix: lambda = E1 + Sigma(lambda), Sigma = g^2 (1/N)
+sum_k 1/(lambda - omega_k), whose (N+1)/2 distinct even mode energies
+carry the sqrt(2) pair weights.  On the band z = e^{i theta}, lambda =
+omega0 + 2 xi cos theta, q = e^{i N theta} and Sigma = g^2 tan(N theta/2) /
+(2 xi sin theta), so the (N - 1)/2 roots inside the band solve the
+pole-free phase equation
+
+    phi = arctan R(theta),   theta = (2 m pi + 2 phi)/N,   m = 1 .. (N - 1)/2,
+    R(theta) = 2 xi sin(theta) (omega0 + 2 xi cos(theta) - E1)/g^2,
+
+with phi in (-pi/2, pi/2): one root between each pair of neighbouring
+modes, which sit at theta = (2 m -+ 1) pi/N.  The two outer roots are the
+finite-N roots above.
+
 A mathematical subtlety drives the "significant" flag below: the 1/sqrt
 van Hove divergence at a 1D band edge guarantees a root beyond *each*
 edge for any coupling, so by bare root counting there are always two.
@@ -68,6 +83,7 @@ __all__ = [
     "lattice_sum",
     "discrete_lattice_sum",
     "find_bound_states",
+    "even_sector_roots",
     "branch_cut_integrand",
     "branch_cut_integral",
     "analytic_amplitude",
@@ -76,6 +92,8 @@ __all__ = [
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 200
+#: The phase-equation Newton stops when theta moves by at most PHASE_TOL (about 10 ulps of pi).
+PHASE_TOL = 4e-15
 
 logger = logging.getLogger("qbsim.spectral")
 
@@ -297,6 +315,64 @@ def _lattice_root(params: SystemParams, e1: complex, location: str,
     if e1.imag != 0.0:
         root = _complex_newton(_dispersion(params, e1, n), root, params, location)
     return root, steps, bisections
+
+
+def even_sector_roots(params: SystemParams, e1: complex) -> np.ndarray:
+    """Every eigenvalue lambda of the effective model's parity-even H at E1, as lambda - omega0.
+
+    The (N + 3)/2 roots of lambda = E1 + Sigma(lambda) in descending order
+    of their real parts: the finite-N root above the band, the (N - 1)/2
+    interior roots of the phase equation (module docstring), m = 1 ..
+    (N - 1)/2, and the root below the band.  The interior roots come from a
+    vectorised Newton in phi from phi = 0 that bisects whenever a step leaves
+    the bracket: (-pi/2, pi/2) for Re phi, narrowed by the sign of the
+    residual for real E1.  It stops once theta moves by at most PHASE_TOL.
+    The outer two are ``_lattice_root``'s, found as in ``find_bound_states``.
+    Needs g > 0.  Raises NoConvergence if a search fails.
+    """
+    e1 = complex(e1)
+    n, xi, g2 = params.n_cavities, params.xi, params.g**2
+    m = np.arange(1, (n - 1) // 2 + 1)
+    a = params.omega0 - (e1 if e1.imag else e1.real)
+    phi = np.zeros(len(m), dtype=np.result_type(a, float))
+    lo, hi = np.full(len(m), -0.5 * math.pi), np.full(len(m), 0.5 * math.pi)
+    for _ in range(NEWTON_MAXITER):
+        theta = (2.0 * math.pi * m + 2.0 * phi) / n
+        sin, cos = np.sin(theta), np.cos(theta)
+        shift = a + 2.0 * xi * cos  # lambda - E1
+        r = (2.0 * xi / g2) * sin * shift
+        dr = (2.0 * xi / g2) * (cos * shift - 2.0 * xi * sin * sin)  # dR/dtheta
+        f = phi - np.arctan(r)
+        step = f / (1.0 - (2.0 / n) * dr / (1.0 + r * r))
+        if phi.dtype.kind == "f":
+            # Real E1: f(-pi/2) <= 0 <= f(pi/2) with one root between (one
+            # eigenvalue between neighbouring poles), so f's sign tells its side.
+            hi, lo = np.where(f > 0.0, phi, hi), np.where(f > 0.0, lo, phi)
+        phi = phi - step
+        moving = np.abs(step) > PHASE_TOL * (0.5 * n)  # theta = (2 m pi + 2 phi)/N moves by 2 step/N
+        if not moving.any():
+            break
+        # A converged root may land on its own bracket end: only moving ones bisect.
+        outside = moving & ((phi.real < lo) | (phi.real > hi))
+        phi.real[outside] = 0.5 * (lo + hi)[outside]
+    else:
+        raise NoConvergence("in_band", f"phase equation: |step| {np.max(np.abs(step)):.3e} "
+                                       f"after {NEWTON_MAXITER} Newton steps")
+    below, above_point, _ = _continuum_points(params, e1.real)
+    outer = []
+    for location, point in (("above_band", above_point), ("below_band", below)):
+        z = point[0]
+        seed = complex(params.omega0 + params.xi * (z + 1.0 / z)).real
+        outer.append(_lattice_root(params, e1, location, seed, point)[0] - params.omega0)
+    # One Newton step on the even modes' sum: the complex refinement stops at
+    # |F| < NEWTON_TOL xi, which would move the phases by 1e-12 per unit time.
+    outer = np.array(outer)
+    levels = params.mode_frequencies()[n // 2:] - params.omega0
+    weights = (g2 / n) * np.r_[1.0, np.full(n // 2, 2.0)][:, None]
+    pole = weights / (outer - levels[:, None])
+    outer -= (outer - (e1 - params.omega0) - pole.sum(axis=0)) / (1.0 + (pole * pole / weights).sum(axis=0))
+    interior = 2.0 * xi * np.cos((2.0 * math.pi * m + 2.0 * phi) / n)
+    return np.concatenate([outer[:1], interior, outer[1:]]).astype(complex)
 
 
 def _pole_terms(point: tuple[complex, complex], e1: complex,

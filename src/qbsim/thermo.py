@@ -4,6 +4,15 @@ Work accounting uses the Hermitian battery Hamiltonian: the kappa = 0
 atom block extended by the ground level at energy zero.  Norm lost to
 the non-Hermitian evolution is booked as ground-state population before
 the ergotropy is evaluated, matching the Lindblad sink.
+
+In the effective model the reduced state is (1 - p)|g><g| + |u|^2 |D><D|
+with p = |u|^2 |D|^2, whose populations are {1 - p, p, 0, 0}.  So
+``ergotropy_trace`` takes W(t) in closed form,
+W = |u|^2 <D|H_B|D> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1, with
+eps0 <= eps1 the two lowest eigenvalues of H_B (Allahverdyan, Balian &
+Nieuwenhuizen, EPL 67 (2004) 565): one 4 x 4 ``eigvalsh`` per trace instead
+of one per sample.  The full model, and ``ergotropy``, keep the stacked
+``eigvalsh`` of ``_work``.
 """
 
 from __future__ import annotations
@@ -117,6 +126,23 @@ def _work(rho: np.ndarray, h_battery: np.ndarray, eps: np.ndarray) -> np.ndarray
     return active - _passive_populations(rho) @ eps
 
 
+def _dark_work(u: np.ndarray, params: SystemParams, h_battery: np.ndarray) -> np.ndarray:
+    """``_work`` of the effective model's states (1 - p)|g><g| + |u|^2 |D><D|, p = |u|^2 |D|^2.
+
+    Their populations are {1 - p, p, 0, 0}, so for 0 <= p <= 1
+    W = |u|^2 <D|H_B|D> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1.
+    """
+    dark = dark_state_vector(params)
+    eps = np.linalg.eigvalsh(h_battery)
+    u2 = u.real**2 + u.imag**2
+    p = u2 * np.vdot(dark, dark).real
+    trace = (1.0 - p) + p
+    if not np.all(np.isfinite(trace)) or np.any(trace <= 0.0):
+        raise NotNormalizable(f"trace {trace.min()} is not positive and finite")
+    active = u2 * np.vdot(dark, h_battery[1:, 1:] @ dark).real
+    return active - np.maximum(p, 1.0 - p) * eps[0] - np.minimum(p, 1.0 - p) * eps[1]
+
+
 def passive_state(rho: BatteryState, h_battery: np.ndarray) -> BatteryState:
     """Zero-ergotropy rearrangement of ``rho``.
 
@@ -155,7 +181,10 @@ def ergotropy_trace(scenario: ChargingScenario, t_grid: np.ndarray) -> Ergotropy
     params = scenario.params
     series = evolve(scenario.initial_state(), np.asarray(t_grid, dtype=float), params)
     h_b = battery_hamiltonian(params)
-    work = _work(_battery_rho(series.atom_amps, params, scenario.model), h_b, np.linalg.eigvalsh(h_b))
+    if scenario.model == "effective":
+        work = _dark_work(series.atom_amps[:, 0], params, h_b)
+    else:
+        work = _work(_battery_rho(series.atom_amps, params, scenario.model), h_b, np.linalg.eigvalsh(h_b))
     power = np.zeros_like(work)
     power[1:] = work[1:] / series.times[1:]
     imax = int(np.argmax(work))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from qbsim import atom_eigensystem_exact, dynamics, effective_hamiltonian
 from qbsim.dynamics import (
     dark_population,
     evolve,
+    initial_state,
     initial_state_atom_m,
     initial_state_photon_at_site,
 )
+from qbsim.presets import preset
 from qbsim.errors import IndexOutOfRange, OutOfRange, StepSizeTooLarge
 
 
@@ -144,6 +147,122 @@ class TestEvolve:
         assert record.getMessage().endswith("; even dim 130")
 
 
+def _evolve_on(path, psi0, t_grid, params, monkeypatch, caplog):
+    """``evolve``, forced onto the dense kernel for path "dense"; returns it and the path it logged."""
+    caplog.set_level("DEBUG", logger="qbsim.dynamics")
+    caplog.clear()
+    with monkeypatch.context() as m:
+        if path == "dense":
+            m.setattr(dynamics, "_even_eigenbasis", lambda *args: (None, "dense (reference)"))
+        series = evolve(psi0, t_grid, params)
+    (record,) = [r for r in caplog.records if r.name == "qbsim.dynamics"]
+    return series, record.getMessage().split("; ")[-2]
+
+
+def _assert_matches_dense(psi0, t_grid, params, monkeypatch, caplog) -> str:
+    """The default path against the dense kernel at the eigenbasis bounds; returns the path taken."""
+    fast, path = _evolve_on("default", psi0, t_grid, params, monkeypatch, caplog)
+    ref, _ = _evolve_on("dense", psi0, t_grid, params, monkeypatch, caplog)
+    final = [np.concatenate([s.final_state.atom, s.final_state.photon]) for s in (fast, ref)]
+    assert np.max(np.abs(fast.atom_amps - ref.atom_amps)) <= 1e-12
+    assert np.max(np.abs(fast.norm2 - ref.norm2)) <= 1e-11
+    assert np.max(np.abs(final[0] - final[1])) <= 1e-12
+    return path
+
+
+def _with_coupling(params, g):
+    return params.replace(g1=params.g1 * g / params.g, g2=params.g2 * g / params.g)
+
+
+class TestEigenbasisPath:
+    # The dense kernel applies one rounded step matrix per sample, so its error
+    # grows linearly with the sample count: over the whole fig3b window (2001
+    # samples) its norm^2 is 3.7e-11 from an extended-precision run of the same
+    # RK4 map, the eigenbasis 2.9e-13.  So the presets are compared over the
+    # first 301 samples of their own grid, as long as fig5's whole window.
+
+    @pytest.mark.parametrize("kappa_zero", [False, True], ids=["kappa", "kappa0"])
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7"])
+    def test_presets_match_dense_kernel(self, name, kappa_zero, monkeypatch, caplog):
+        cfg = preset(name)
+        p = cfg.params.replace(kappa=0.0) if kappa_zero else cfg.params
+        nt = min(int(round(cfg.t_max / cfg.dt)) + 1, 301)
+        t_grid = np.linspace(0.0, (nt - 1) * cfg.dt, nt)
+        n = p.n_cavities
+        starts = [initial_state(p, "effective", cfg.photon_site)] + [
+            initial_state_photon_at_site(site, p, "effective", "mode") for site in (1, 5, n - 2)]
+        for psi0 in starts:
+            assert _assert_matches_dense(psi0, t_grid, p, monkeypatch, caplog) == "eigenbasis"
+
+    @pytest.mark.parametrize("n", [21, 253, 1001])
+    def test_fig5_cells_match_dense_kernel(self, n, monkeypatch, caplog):
+        # Re E1 = 21.196 lies above omega0 in the first cell and below it in the
+        # second; N = 1001 takes one kappa per cell, to keep the dense runs short.
+        base = preset("fig5").params.replace(n_cavities=n)
+        cells = [(19.2, 0.7, base.kappa), (23.2, 1.7, 0.0)]
+        if n < 1001:
+            cells += [(19.2, 0.7, 0.0), (23.2, 1.7, base.kappa)]
+        for omega0, xi, kappa in cells:
+            p = base.replace(omega0=omega0, xi=xi, kappa=kappa)
+            for site in (1, 5, n - 2):
+                psi0 = initial_state_photon_at_site(site, p, "effective", "mode")
+                path = _assert_matches_dense(psi0, np.linspace(0.0, 15.0, 301), p, monkeypatch, caplog)
+                assert path == "eigenbasis"
+
+    @pytest.mark.parametrize("kappa_zero", [False, True], ids=["kappa", "kappa0"])
+    @pytest.mark.parametrize("g", [1e-2, 1e-3])
+    def test_weak_coupling(self, fig3a_params, g, kappa_zero, monkeypatch, caplog):
+        # At kappa = 0 the nearest-mode distances from the secular equation keep
+        # the expansion's digits.  With |Im E1| >> g^2/xi the phase equation's
+        # arctan crosses its branch cut and Newton fails: the dense kernel runs.
+        p = _with_coupling(fig3a_params.replace(kappa=0.0) if kappa_zero else fig3a_params, g)
+        for site in (1, 5):
+            psi0 = initial_state_photon_at_site(site, p, "effective", "mode")
+            path = _assert_matches_dense(psi0, np.linspace(0.0, 20.0, 401), p, monkeypatch, caplog)
+            if kappa_zero:
+                assert path == "eigenbasis"
+            else:
+                assert path.startswith("dense (root search failed in region 'in_band'")
+
+    def test_decoupled_amplitudes_advance_by_their_factors(self, fig3a_params, monkeypatch, caplog):
+        p = _with_coupling(fig3a_params, 0.0)
+        psi0 = initial_state_photon_at_site(5, p, "effective", "mode")
+        psi0.atom[0] = 0.6
+        t_grid = np.linspace(0.0, 5.0, 101)
+        assert _assert_matches_dense(psi0, t_grid, p, monkeypatch, caplog) == "eigenbasis"
+        series = evolve(psi0, t_grid, p)
+        levels = np.r_[atom_eigensystem_exact(p).dark_energy.real, p.mode_frequencies()]
+        centroid, n_sub, dt = dynamics.step_rule(levels, t_grid[1])
+        factor = dynamics._kernels.rk4_factor(
+            -1j * dt * (atom_eigensystem_exact(p).dark_energy - centroid)) ** n_sub
+        assert np.max(np.abs(series.atom_amps[:, 0] - 0.6 * factor ** np.arange(101))) <= 1e-14
+
+    def test_samples_are_blocked(self, monkeypatch, caplog):
+        # fig4's 8001 samples at even dim 128: an nt x dim array would take 16 MB.
+        cfg = preset("fig4")
+        nt = int(round(cfg.t_max / cfg.dt)) + 1
+        psi0 = initial_state(cfg.params, "effective", cfg.photon_site)
+        t_grid = np.linspace(0.0, cfg.t_max, nt)
+        tracemalloc.start()
+        try:
+            _, path = _evolve_on("default", psi0, t_grid, cfg.params, monkeypatch, caplog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path == "eigenbasis"
+        assert peak <= nt * 128 * 16 / 4
+
+    def test_debug_log_names_the_path(self, fig3a_params, caplog, monkeypatch):
+        psi0 = initial_state_photon_at_site(0, fig3a_params, "effective", "mode")
+        evolve_args = (psi0, np.linspace(0, 1, 11), fig3a_params, monkeypatch, caplog)
+        _evolve_on("default", *evolve_args)
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("evolve effective/mode: dim 254, n_sub ")
+        assert "RK4 steps; roots " in message and message.endswith("; eigenbasis; even dim 128")
+        _, path = _evolve_on("dense", *evolve_args)
+        assert "RK4 steps; matrix " in caplog.records[-1].getMessage() and path == "dense (reference)"
+
+
 class TestStepSizeTooLarge:
     # STEP_FACTOR = 5 makes each RK4 step 250 times too long: the norm grows.
     def test_kappa_zero_names_the_step(self, fig3a_params, monkeypatch):
@@ -155,12 +274,22 @@ class TestStepSizeTooLarge:
             evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
 
     def test_kappa_zero_raises_before_propagating(self, fig3a_params, monkeypatch):
-        # Calling the kernel would raise TypeError: the check must come first.
+        # Calling either sample stage would raise TypeError: the check must come first.
         monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
         monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
         p = fig3a_params.replace(kappa=0.0)
         with pytest.raises(StepSizeTooLarge):
             evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
+
+    def test_kappa_positive_raises_before_propagating(self, fig3a_params, monkeypatch):
+        # On the eigenbasis path the roots bound every step at kappa > 0 too.
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
+        with pytest.raises(StepSizeTooLarge, match=r"dt = 2 \(n_sub = 1\) grows norm\^2 by up to "):
+            evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
+                   np.linspace(0, 20, 11), fig3a_params)
 
     def test_kappa_positive(self, fig3a_params, monkeypatch):
         monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)

@@ -98,11 +98,14 @@ def _reference_evolve(psi0, t_grid, params):
     for site in (0, 1, 5) for kappa_zero in (True, False)])
 @pytest.mark.parametrize("representation", ["mode", "site"])
 @pytest.mark.parametrize("model", ["effective", "full"])
-def test_evolve_matches_step_by_step_rk4(fig3a_params, model, representation, kappa_zero, site):
+def test_evolve_matches_step_by_step_rk4(fig3a_params, model, representation, kappa_zero, site, caplog):
     p = fig3a_params.replace(kappa=0.0) if kappa_zero else fig3a_params
     psi0 = initial_state_photon_at_site(site, p, model, representation)
     t_grid = np.linspace(0.0, 2.0, 21)
+    caplog.set_level("DEBUG", logger="qbsim.dynamics")
     series = evolve(psi0, t_grid, p)
+    path = caplog.records[-1].getMessage().split("; ")[-2]
+    assert path == ("eigenbasis" if model == "effective" else "dense (full model)")
     atom_ref, norm_ref, psi_ref = _reference_evolve(psi0, t_grid, p)
     final = np.concatenate([series.final_state.atom, series.final_state.photon])
     assert np.max(np.abs(series.atom_amps - atom_ref)) <= 1e-10

@@ -189,6 +189,46 @@ class TestBoundStates:
         assert bs.n_roots == 1 and bs.states[0].energy == 25.0 + 0j
 
 
+class TestEvenSectorRoots:
+    # Every eigenvalue of the effective model's even H: the phase equation in
+    # the band, ``_lattice_root`` beyond it.
+
+    @pytest.mark.parametrize("name, kappa_zero", [
+        ("fig3a", False), ("fig3a", True), ("fig3b", False), ("fig4", True), ("fig5", False)])
+    def test_outer_roots_are_the_lattice_energies(self, name, kappa_zero):
+        # The outer sum carries the sqrt(2) pair weights and stays beyond the
+        # outermost mode, so it lands on find_bound_states' finite-N roots.
+        p = preset(name).params
+        p = p.replace(kappa=0.0) if kappa_zero else p
+        e1 = atom_eigensystem_exact(p).dark_energy
+        lam = spectral.even_sector_roots(p, e1) + p.omega0
+        states = {s.location: s.lattice_energy for s in find_bound_states(p, e1).states}
+        for root, location in ((lam[0], "above_band"), (lam[-1], "below_band")):
+            assert abs(root - states[location]) <= 1e-12 * abs(states[location])
+
+    @pytest.mark.parametrize("n", [3, 21, 253, 1001])
+    @pytest.mark.parametrize("e1", [20.0, 20.5, 21.9, 25.0, 14.0])
+    def test_one_root_between_neighbouring_modes(self, fig2_params, n, e1):
+        # kappa = 0: (N + 1)/2 + 1 real roots, interlaced with the (N + 1)/2
+        # distinct mode energies, and equal to the matrix eigenvalues.
+        p = fig2_params.replace(n_cavities=n)
+        lam = spectral.even_sector_roots(p, complex(e1)) + p.omega0
+        modes = np.sort(p.mode_frequencies()[n // 2:])[::-1]
+        assert len(lam) == (n + 1) // 2 + 1 and np.all(lam.imag == 0.0)
+        edges = np.r_[np.inf, modes, -np.inf]
+        counts = [np.count_nonzero((lam.real < hi) & (lam.real > lo)) for hi, lo in zip(edges, edges[1:])]
+        assert counts == [1] * len(lam)
+        ev = np.sort(np.linalg.eigvalsh(effective_hamiltonian(p, "mode", e1=complex(e1)).real))
+        ev = ev[np.abs(ev[:, None] - modes).min(axis=1) > 1e-9]  # odd modes stay at omega_k
+        assert np.max(np.abs(np.sort(lam.real) - ev)) <= 1e-12 * np.max(np.abs(ev))
+
+    def test_complex_e1_roots_match_eigvals(self, fig3a_params):
+        e1 = atom_eigensystem_exact(fig3a_params).dark_energy
+        lam = spectral.even_sector_roots(fig3a_params, e1) + fig3a_params.omega0
+        ev = np.linalg.eigvals(effective_hamiltonian(fig3a_params, "mode", e1=e1))
+        assert np.max(np.min(np.abs(lam[:, None] - ev), axis=1)) <= 1e-12 * np.max(np.abs(ev))
+
+
 class TestBranchCut:
     def test_edge_singularity(self, fig2_params):
         with pytest.raises(EdgeSingularity):

@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 
 from qbsim import SystemParams, atom_eigensystem_exact, dark_state_vector, dynamics
 from qbsim.dynamics import WaveFunction, evolve, initial_state_photon_at_site
+from qbsim.errors import NotNormalizable
+from qbsim.presets import preset
 from qbsim.thermo import (
     BatteryState,
     ChargingScenario,
+    _battery_rho,
+    _dark_work,
     _one_blas_thread,
+    _work,
     battery_hamiltonian,
     ergotropy,
     ergotropy_trace,
@@ -211,6 +216,25 @@ class TestErgotropyTrace:
         assert np.max(np.abs(trace.work - per_sample)) <= 1e-13
         assert trace.w_max > 0.01  # the window charges
 
+    @pytest.mark.parametrize("n", [21, 253, 1001])
+    def test_closed_form_work_matches_eigvalsh(self, n):
+        # The effective model's W(t) in closed form against the stacked 4 x 4 eigvalsh.
+        base = preset("fig5").params.replace(n_cavities=n)
+        for omega0, xi, kappa in ((19.2, 0.7, base.kappa), (23.2, 1.7, 0.0)):
+            p = base.replace(omega0=omega0, xi=xi, kappa=kappa)
+            scenario = ChargingScenario(params=p, photon_site=1)
+            t_grid = np.linspace(0.0, 15.0, 301)
+            trace = ergotropy_trace(scenario, t_grid)
+            series = evolve(scenario.initial_state(), t_grid, p)
+            h_b = battery_hamiltonian(p)
+            reference = _work(_battery_rho(series.atom_amps, p, "effective"), h_b, np.linalg.eigvalsh(h_b))
+            assert np.max(np.abs(trace.work - reference)) <= 1e-13 * max(1.0, np.max(np.abs(reference)))
+
+    def test_closed_form_work_rejects_non_finite_state(self, charger_params):
+        h_b = battery_hamiltonian(charger_params)
+        with pytest.raises(NotNormalizable):
+            _dark_work(np.array([0.5, np.nan]), charger_params, h_b)
+
     def test_power_definition(self, charger_params):
         trace = ergotropy_trace(ChargingScenario(params=charger_params, photon_site=1),
                                 np.linspace(0, 10, 201))
@@ -237,12 +261,13 @@ class TestSweep:
         assert (0, 0) in res.errors
 
     def test_unstable_step_recorded_not_raised(self, charger_params, monkeypatch):
-        # A step 250 times too long makes the norm grow at kappa > 0.
+        # A step 250 times too long makes the norm grow at kappa > 0; the eigenbasis
+        # path finds it from the roots before propagating.
         monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
         res = sweep_ergotropy([21.2], [1.0, 2.2], charger_params, t_max=15.0, nt=4, n_workers=1)
         assert np.all(np.isnan(res.w_max))
         assert sorted(res.errors) == [(0, 0), (0, 1)]
-        assert all("norm^2 grew" in err for err in res.errors.values())
+        assert all("grows norm^2 by up to" in err for err in res.errors.values())
 
 
 def _openblas_thread_counts() -> list[int]:
