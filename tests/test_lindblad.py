@@ -120,10 +120,20 @@ def test_trace_drift_names_the_step(small_params, monkeypatch):
 
 def test_debug_log_names_the_steps(small_params, caplog):
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
-    psi0 = initial_state_photon_at_site(3, small_params, "full", "site")
+    psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
     lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params)
     (record,) = caplog.records
     assert record.name == "qbsim.lindblad"
+    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, n_sub ")
+    assert "RK4 steps, trace drift " in record.getMessage()
+    assert "; propagation " in record.getMessage()
+
+
+def test_debug_log_names_the_eigenbasis(small_params, caplog):
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    psi0 = initial_state_photon_at_site(3, small_params, "full", "site")
+    lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params)
+    (record,) = caplog.records
     assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, n_sub ")
     head, cond_v = record.getMessage().rsplit("; eigenbasis, cond(V) ", 1)
     assert "RK4 steps, trace drift " in head and "; propagation " in head
