@@ -40,7 +40,8 @@ class EdgeSingularity(QbsimError):
 
 
 class NoConvergence(QbsimError):
-    """A root search failed; ``region`` identifies which one."""
+    """A root search, or the branch-cut quadrature (region 'branch_cut'), failed; ``region``
+    identifies which one."""
 
     def __init__(self, region: str, message: str = ""):
         self.region = region

@@ -16,8 +16,8 @@ The RK4 runs in the eigenbasis of H_eff = H - i kappa/2 P_d, where each
 step is a scalar per element plus the sink's gain: the same steps as the
 step-by-step loop at O(dim^2) per sample (see ``qbsim._kernels``).  Only
 when cond(V) of that basis exceeds ``_kernels.EIGENBASIS_MAX_COND`` (near
-an exceptional point of H_eff) does the kernel run four sparse Horner
-stages per step instead.  ``lindblad_evolve`` logs each call's dim,
+an exceptional point of H_eff) does the kernel run four Horner stages
+per step instead.  ``lindblad_evolve`` logs each call's dim,
 n_sub, dt, step count, trace drift, propagation time and kernel path
 (eigenbasis with its cond(V), or Horner stages) to ``qbsim.lindblad`` at
 DEBUG.

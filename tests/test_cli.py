@@ -80,6 +80,28 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_package_runs_without_scipy(self):
+        # The branch-cut rule and the Lindblad Horner stages are numpy only.
+        done = _fresh_python("-c", """
+import sys
+import numpy as np
+from qbsim import _kernels, atom_eigensystem_exact, spectral
+from qbsim.dynamics import initial_state_photon_at_site
+from qbsim.lindblad import initial_density_matrix, lindblad_evolve
+from qbsim.presets import preset
+p = preset("fig3a").params.replace(n_cavities=21)
+e1 = atom_eigensystem_exact(p).dark_energy
+assert type(spectral.branch_cut_integral(0.0, p, e1)) is complex
+assert spectral.branch_cut_integral(np.linspace(0.0, 5.0, 4), p, e1).shape == (4,)
+spectral.analytic_amplitude(np.linspace(0.0, 5.0, 4), p, e1, include_branch_cut=True, initial="atom")
+_kernels.EIGENBASIS_MAX_COND = 0.0  # cond(V) >= 1, so the Horner stages run
+rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
+lindblad_evolve(rho0, np.linspace(0.0, 0.2, 3), p)
+print([m for m in sys.modules if 'scipy' in m])
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_invalid_xi_exit_code_2(self, tmp_path, capsys):
         data = preset("fig3a").to_dict()
         data["params"]["xi"] = 0.0

@@ -207,3 +207,14 @@ def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params,
     _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 1.0, 101), p)
     (record,) = caplog.records
     assert record.getMessage().endswith("; Horner stages")
+
+
+def test_horner_stages_reject_a_matrix_that_is_not_ring_and_atom(fig3a_params, monkeypatch):
+    # The stages apply H_eff piece by piece, so any other entry must be refused, not dropped.
+    monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    p = fig3a_params.replace(n_cavities=21)
+    h = _full_hermitian_hamiltonian(p).real
+    h[D_IDX + 3 + 5, D_IDX + 3 + 9] = h[D_IDX + 3 + 9, D_IDX + 3 + 5] = -0.1  # a hop across the ring
+    rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p).rho
+    with pytest.raises(ValueError, match="uniform ring"):
+        _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, 0.01, 1, 3)

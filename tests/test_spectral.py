@@ -1,10 +1,13 @@
+import cmath
+import functools
+import math
 import re
 
 import numpy as np
 import pytest
 
 from qbsim import atom_eigensystem_exact, effective_hamiltonian, spectral
-from qbsim.errors import EdgeSingularity, OnBranchCut
+from qbsim.errors import EdgeSingularity, NoConvergence, OnBranchCut
 from qbsim.presets import preset
 from qbsim.spectral import (
     BandInfo,
@@ -17,6 +20,83 @@ from qbsim.spectral import (
     long_time_probability,
 )
 from conftest import random_params
+
+
+def _reference_branch_cut_integral(t: float, params, e1: complex, initial: str = "photon") -> complex:
+    """The branch-cut term at one t by two adaptive scipy ``quad`` calls (real and imaginary parts).
+
+    The quadrature, and the density arithmetic in Python floats, that
+    ``branch_cut_integral`` used before its tanh-sinh rule: the reference
+    where quad is right.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    g = params.g
+    if g == 0.0:
+        return 0.0j
+    g4, shift = g**4, e1 - params.omega0
+    two_xi = 2.0 * params.xi
+    omega0 = params.omega0
+
+    def density(x: float, w2: float) -> complex:
+        a = shift + x
+        if initial == "photon":
+            return -(g / math.sqrt(w2)) * a / (a * a + g4 / w2) / math.pi
+        return (g * g / math.sqrt(w2)) / (a * a + g4 / w2) / math.pi
+
+    def integrand(theta: float) -> complex:
+        x = two_xi * math.sin(theta)
+        w = two_xi * math.cos(theta)
+        # dx = w dtheta cancels one sqrt(w2) = w in the density.
+        return density(x, w * w) * w * cmath.exp(1j * (x - omega0) * t)
+
+    # Oscillation count grows like 2*xi*t; cap subdivision accordingly.
+    limit = int(200 + 4.0 * two_xi * abs(t))
+    re_part, _ = integrate.quad(lambda th: integrand(th).real, -np.pi / 2, np.pi / 2,
+                                epsabs=1e-11, epsrel=1e-10, limit=limit)
+    im_part, _ = integrate.quad(lambda th: integrand(th).imag, -np.pi / 2, np.pi / 2,
+                                epsabs=1e-11, epsrel=1e-10, limit=limit)
+    return complex(re_part, im_part)
+
+
+def _mpmath_branch_cut_integrals(t: float, params, e1: complex) -> dict[str, complex]:
+    """Both starts' branch-cut terms at one t by ``mpmath.quad`` at 25 digits.
+
+    theta is split at theta*, at the band edges, and at the real part of
+    each pole of the density that lies closer to the real axis than to
+    those points: the poles solve a w = -+i g^2, with a = E1 - omega0 + x,
+    a quartic in z = e^{i theta}.  The two starts share each node's
+    evaluation.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    xi, g, c = params.xi, params.g, complex(e1) - params.omega0
+    ends = [-0.5 * math.pi, math.asin(min(max(-c.real / (2.0 * xi), -1.0), 1.0)), 0.5 * math.pi]
+    # z^2 (a w -+ i g^2) = xi (-i xi z^4 + c z^3 + c z + i xi) -+ i g^2 z^2.
+    poles = [cmath.log(z) / 1j for sign in (1.0, -1.0)
+             for z in np.roots([-1j * xi * xi, xi * c, -sign * 1j * g * g, xi * c, 1j * xi * xi])]
+    cuts = sorted(ends + [p.real for p in poles if abs(p.real) < 0.5 * math.pi
+                          and abs(p.imag) < min(abs(p.real - end) for end in ends)])
+    with mpmath.workdps(25):
+        two_xi, omega0, g, t = (mpmath.mpf(v) for v in (2.0 * xi, params.omega0, g, t))
+        c = mpmath.mpc(complex(e1).real, complex(e1).imag) - omega0
+        four_xi2, g4, pi = two_xi**2, g**4, +mpmath.pi
+
+        @functools.lru_cache(maxsize=None)
+        def shared(theta):  # a, and the rest of both integrands: w^2/(a^2 w^2 + g^4)/pi exp(i x t)
+            s = mpmath.sin(theta)
+            a, w2 = c + two_xi * s, four_xi2 * (1 - s * s)
+            rest = w2 / ((a * a * w2 + g4) * pi)
+            return a, rest * mpmath.expj(two_xi * s * t) if t else rest
+
+        phase = mpmath.expj(-omega0 * t)
+        photon = mpmath.quad(lambda theta: -g * shared(theta)[0] * shared(theta)[1], cuts)
+        atom = mpmath.quad(lambda theta: g * g * shared(theta)[1], cuts)
+        return {"photon": complex(photon * phase), "atom": complex(atom * phase)}
+
+
+def _with_coupling(params, g: float):
+    """params with g1, g2 scaled to the total coupling g."""
+    scale = g / params.g
+    return params.replace(g1=params.g1 * scale, g2=params.g2 * scale)
 
 
 class TestLatticeSum:
@@ -252,6 +332,7 @@ class TestBranchCut:
             poles = sum(s.residue_weight * s.pole_amplitude for s in bs.states)
             branch = branch_cut_integral(0.0, p, e1)
             assert abs(poles + branch) <= 1e-6
+            assert abs(branch - _reference_branch_cut_integral(0.0, p, e1)) <= 1e-10
 
     def test_sum_rule_t0_atom_start(self, fig2_params):
         # Dark-state start: poles plus branch cut rebuild u(0) = 1.
@@ -272,6 +353,68 @@ class TestBranchCut:
     def test_fig3a_branch_dephased_at_t50(self, fig3a_params):
         e1 = atom_eigensystem_exact(fig3a_params).dark_energy
         assert abs(branch_cut_integral(50.0, fig3a_params, e1)) < 0.02
+
+
+class TestBranchCutRule:
+    # The tanh-sinh rule against 25-digit mpmath, including where quad
+    # silently misses, and against the quad reference where quad is right.
+
+    @pytest.mark.parametrize("t", [0.0, 100.0])
+    @pytest.mark.parametrize("im", [0.0, -0.05])
+    @pytest.mark.parametrize("offset", [-2.5, -1.999, 0.0, 1.999])
+    @pytest.mark.parametrize("g", [1e-2, 1.0])
+    def test_grid_matches_extended_precision(self, fig2_params, g, offset, im, t):
+        p = _with_coupling(fig2_params, g * fig2_params.xi)
+        e1 = complex(p.omega0 + offset * p.xi, im)
+        for initial, expected in _mpmath_branch_cut_integrals(t, p, e1).items():
+            assert abs(branch_cut_integral(t, p, e1, initial) - expected) <= 1e-10
+
+    @pytest.mark.parametrize("e1", [18.001 - 1j, 17.5 - 1j])
+    def test_weak_coupling_cases_quad_misses(self, fig2_params, e1):
+        # quad is off by 2.6e-7 (with an IntegrationWarning) and 2.0e-7 (without one).
+        p = _with_coupling(fig2_params, 1e-2)
+        expected = _mpmath_branch_cut_integrals(0.0, p, e1)["photon"]
+        assert abs(branch_cut_integral(0.0, p, e1) - expected) <= 1e-10
+
+    def test_spectral_benchmark_draw_quad_misses(self, fig2_params):
+        # Draw 2755 of seed 2 of the spectral benchmark, atom start: quad gives
+        # 0.50043 + 3.1e-6i.  A pole of the density lies about 1e-4 off the real axis at theta*.
+        p = fig2_params.replace(omega0=31.243793526289384, xi=2.08201891642074,
+                                g1=-0.3301795765427415, g2=0.33595926967959033)
+        e1 = complex(31.49687571220702, -0.053379565308940606)
+        expected = _mpmath_branch_cut_integrals(0.0, p, e1)["atom"]
+        assert abs(expected - (0.99966566832207 + 3.11146e-6j)) <= 1e-13
+        assert abs(branch_cut_integral(0.0, p, e1, "atom") - expected) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig4"])
+    def test_presets_match_quad_in_one_call(self, name):
+        p = preset(name).params
+        e1 = atom_eigensystem_exact(p).dark_energy
+        t = np.linspace(0.0, 100.0, 201)
+        expected = [_reference_branch_cut_integral(tv, p, e1) for tv in t]
+        assert np.max(np.abs(branch_cut_integral(t, p, e1) - expected)) <= 1e-10
+
+    def test_scalar_and_array_times(self, fig2_params):
+        value = branch_cut_integral(3.0, fig2_params, 20.5 + 0j)
+        assert type(value) is complex
+        values = branch_cut_integral(np.linspace(0.0, 5.0, 6).reshape(2, 3), fig2_params, 20.5 + 0j)
+        assert values.shape == (2, 3) and values.dtype == complex
+        assert abs(values[1, 0] - value) <= 1e-10
+
+    def test_level_cap_raises_naming_the_stage(self, fig2_params, monkeypatch):
+        # t = 100 needs more than the first level.
+        monkeypatch.setattr(spectral, "DE_LAST_LEVEL", spectral.DE_FIRST_LEVEL)
+        with pytest.raises(NoConvergence, match="'branch_cut'") as raised:
+            branch_cut_integral(100.0, fig2_params, 20.5 + 0j)
+        assert raised.value.region == "branch_cut"
+
+    def test_debug_log_names_the_level(self, fig2_params, caplog):
+        caplog.set_level("DEBUG", logger="qbsim.spectral")
+        branch_cut_integral(np.array([0.0, 3.0]), fig2_params, 20.5 + 0j)
+        (record,) = caplog.records
+        # A smooth integrand stops at the first level: two pieces of 205 nodes.
+        assert re.fullmatch(r"branch_cut_integral E1 = \(20\.5\+0j\), photon start, 2 times: 2 pieces, "
+                            r"level 5, 410 nodes, estimate \S+", record.getMessage())
 
 
 class TestAnalyticAmplitude:
