@@ -8,7 +8,7 @@ and the rate comes from a least-squares line through (t_i, ln P_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,12 +88,4 @@ def fit_decay(times, values, t_min: float = 10.0) -> DecayFit:
         mask = t >= t_min
         tp, yp = t[mask], np.asarray(values, dtype=float)[mask]
         used_peaks = False
-    fit = fit_exponential(tp, yp)
-    return DecayFit(
-        intercept=fit.intercept,
-        rate=fit.rate,
-        r_abs=fit.r_abs,
-        t_window=fit.t_window,
-        n_points=fit.n_points,
-        used_peaks=used_peaks,
-    )
+    return replace(fit_exponential(tp, yp), used_peaks=used_peaks)

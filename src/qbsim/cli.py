@@ -9,9 +9,12 @@ bound-states <config.json>   bound-state energies and residues
 atom-spectrum <config.json>  exact and perturbative atom eigenvalues
 fit-decay <series.csv>  exponential lifetime fit of a stored series
 
-All numeric CSV output is written with 17 significant digits, output is
-deterministic run-to-run, and exit codes are 0 (success), 2 (config
-error), 3 (numerical non-convergence).
+All numeric CSV output is written with 17 significant digits; a value
+that was not computed (a failed sweep cell, or a fig2 bound state that is
+absent or insignificant) is an empty field.  A ``run`` sweep starts every
+cell from the config's ``initial`` state.  Output is deterministic
+run-to-run, and exit codes are 0 (success), 2 (config error, including a
+value of the wrong type), 3 (numerical non-convergence).
 """
 
 from __future__ import annotations
@@ -38,20 +41,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return ""
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    rows = zip(*columns)
+    """One row per sample, every value as %.17g; a NaN (a value not computed) is an empty field."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines((row % values).replace("nan", "") for values in zip(*columns))
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -62,11 +57,13 @@ def _c(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _sweep(cfg: ScenarioConfig, omega0s, xis, photon_site: int, threads: int):
-    """W_max sweep of the config's params over its window, sampled every cfg.dt."""
-    return sweep_ergotropy(omega0s, xis, cfg.params, t_max=cfg.t_max,
+def _sweep(cfg: ScenarioConfig, threads: int):
+    """W_max over the config's sweep grids (a grid not given is its param's value), from its
+    initial state, over its window sampled every cfg.dt."""
+    return sweep_ergotropy(cfg.sweep_omega0 or (cfg.params.omega0,), cfg.sweep_xi or (cfg.params.xi,),
+                           cfg.params, t_max=cfg.t_max,
                            nt=int(round(cfg.t_max / cfg.dt)) + 1,
-                           photon_site=photon_site, n_workers=threads)
+                           photon_site=cfg.photon_site, n_workers=threads)
 
 
 def _write_wmax_grid(path: Path, res) -> None:
@@ -77,8 +74,7 @@ def _write_wmax_grid(path: Path, res) -> None:
 # -- figure reproduction ---------------------------------------------------------
 
 
-def _reproduce_fig2(out: Path, threads: int) -> dict:
-    cfg = preset("fig2")
+def _reproduce_fig2(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     params = cfg.params
     e1_grid = np.linspace(params.omega0 - 4.0, params.omega0 + 4.0, 200)
     below, above, counts = [], [], []
@@ -105,8 +101,8 @@ def _reproduce_fig2(out: Path, threads: int) -> dict:
     return summary
 
 
-def _fig3_series(name: str, out: Path) -> dict:
-    cfg = preset(name)
+def _fig3_series(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
+    name = cfg.label
     params = cfg.params
     e1 = atom_eigensystem_exact(params).dark_energy
     psi0 = initial_state(params, "effective", cfg.photon_site)
@@ -143,8 +139,7 @@ def _fig3_series(name: str, out: Path) -> dict:
     return summary
 
 
-def _reproduce_fig4(out: Path, threads: int) -> dict:
-    cfg = preset("fig4")
+def _reproduce_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     params = cfg.params
     t_grid = cfg.time_grid()
     series = evolve(initial_state(params, "effective", cfg.photon_site), t_grid, params)
@@ -174,9 +169,8 @@ def _reproduce_fig4(out: Path, threads: int) -> dict:
     return summary
 
 
-def _reproduce_fig5(out: Path, threads: int) -> dict:
-    cfg = preset("fig5")
-    res = _sweep(cfg, cfg.sweep_omega0, cfg.sweep_xi, cfg.photon_site, threads)
+def _reproduce_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
+    res = _sweep(cfg, threads)
     _write_wmax_grid(out / "fig5_wmax_grid.csv", res)
     re_e1 = atom_eigensystem_exact(cfg.params).dark_energy.real
     argmax_omega0 = res.omega0_grid[np.nanargmax(res.w_max, axis=0)]
@@ -193,9 +187,8 @@ def _reproduce_fig5(out: Path, threads: int) -> dict:
     return summary
 
 
-def _reproduce_fig6(out: Path, threads: int) -> dict:
-    cfg = preset("fig6")
-    res = _sweep(cfg, [cfg.params.omega0], cfg.sweep_xi, cfg.photon_site, threads)
+def _reproduce_fig6(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
+    res = _sweep(cfg, threads)
     w = res.w_max[0]
     xi = res.xi_grid
     _write_csv(out / "fig6_wmax_vs_xi.csv", ["xi", "w_max"], [xi, w])
@@ -219,8 +212,7 @@ def _reproduce_fig6(out: Path, threads: int) -> dict:
     return summary
 
 
-def _reproduce_fig7(out: Path, threads: int) -> dict:
-    cfg = preset("fig7")
+def _reproduce_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     t_grid = cfg.time_grid()
     xi_col, t_col, p_col = [], [], []
     per_xi = []
@@ -254,8 +246,8 @@ def _reproduce_fig7(out: Path, threads: int) -> dict:
 
 _REPRODUCERS = {
     "fig2": _reproduce_fig2,
-    "fig3a": lambda out, threads: _fig3_series("fig3a", out),
-    "fig3b": lambda out, threads: _fig3_series("fig3b", out),
+    "fig3a": _fig3_series,
+    "fig3b": _fig3_series,
     "fig4": _reproduce_fig4,
     "fig5": _reproduce_fig5,
     "fig6": _reproduce_fig6,
@@ -266,9 +258,10 @@ _REPRODUCERS = {
 def run_reproduce(figure_id: str, out_dir: Path, threads: int) -> dict:
     if figure_id not in _REPRODUCERS:
         raise ConfigError("figure_id", f"must be one of {PRESET_NAMES}")
+    cfg = preset(figure_id)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _REPRODUCERS[figure_id](out_dir, threads)
-    summary["preset"] = preset(figure_id).to_dict()
+    summary = _REPRODUCERS[figure_id](cfg, out_dir, threads)
+    summary["preset"] = cfg.to_dict()
     _write_summary(out_dir / f"{figure_id}_summary.json", summary)
     return summary
 
@@ -281,10 +274,7 @@ def run_custom(cfg: ScenarioConfig, out_dir: Path, threads: int) -> dict:
     label = cfg.label or "scenario"
     params = cfg.params
     if cfg.sweep_omega0 is not None or cfg.sweep_xi is not None:
-        omega0s = cfg.sweep_omega0 or (params.omega0,)
-        xis = cfg.sweep_xi or (params.xi,)
-        photon_site = cfg.photon_site if cfg.photon_site is not None else 1
-        res = _sweep(cfg, omega0s, xis, photon_site, threads)
+        res = _sweep(cfg, threads)
         _write_wmax_grid(out_dir / f"{label}_wmax.csv", res)
         summary = {
             "label": label,

@@ -41,11 +41,12 @@ class EdgeSingularity(QbsimError):
 
 class NoConvergence(QbsimError):
     """A root search, or the branch-cut quadrature (region 'branch_cut'), failed; ``region``
-    identifies which one."""
+    identifies which one, and the message names the stage."""
 
     def __init__(self, region: str, message: str = ""):
         self.region = region
-        super().__init__(f"root search failed in region '{region}'" + (f": {message}" if message else ""))
+        stage = "branch-cut quadrature failed" if region == "branch_cut" else "root search failed"
+        super().__init__(f"{stage} in region '{region}'" + (f": {message}" if message else ""))
 
 
 class StepSizeTooLarge(QbsimError):

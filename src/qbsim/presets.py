@@ -2,8 +2,9 @@
 
 A scenario bundles SystemParams, an initial condition, a time grid, a
 model selector, and optional sweep grids.  Configs serialize to JSON with
-a required ``schema_version``; unknown keys are rejected so that typos
-fail loudly instead of silently using defaults.
+a required ``schema_version``; unknown keys and values of the wrong type
+are rejected, naming the field, so that typos fail loudly instead of
+silently using defaults or failing deep inside a run.
 
 The figure presets encode the parameter sets of the reference scenarios.
 Frequencies are in units of the hopping xi for fig2-fig4 and of the
@@ -16,6 +17,8 @@ each preset's comment.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -34,6 +37,36 @@ PARAM_KEYS = {
 }
 TOP_KEYS = {"schema_version", "unit", "label", "params", "initial", "time", "model", "sweep"}
 MODELS = ("effective", "full", "lindblad", "analytic")
+
+
+def _check_keys(section, allowed: set, name: str = "") -> dict:
+    """``section`` itself, once it is a JSON object with keys from ``allowed``; ``name`` prefixes its fields."""
+    if not isinstance(section, dict):
+        raise ConfigError(name, f"must be a JSON object, got {section!r}")
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"{name}.{min(unknown)}" if name else min(unknown), "unknown key")
+    return section
+
+
+def _real(value, name: str):
+    """``value`` itself, once it is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(name, f"must be a finite number, got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _grid(value, name: str) -> tuple:
+    """A sweep grid: a list of finite numbers, as a tuple."""
+    if not isinstance(value, list):
+        raise ConfigError(name, f"must be a list of numbers, got {value!r}")
+    return tuple(_real(v, name) for v in value)
 
 
 @dataclass(frozen=True)
@@ -93,54 +126,40 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        unknown = set(data) - TOP_KEYS
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown key")
+        _check_keys(data, TOP_KEYS)
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"must be {SCHEMA_VERSION}, got {data.get('schema_version')!r}")
-        raw_params = data.get("params")
-        if not isinstance(raw_params, dict):
-            raise ConfigError("params", "missing or not an object")
-        unknown = set(raw_params) - PARAM_KEYS
-        if unknown:
-            raise ConfigError(f"params.{sorted(unknown)[0]}", "unknown key")
+        raw_params = _check_keys(data.get("params"), PARAM_KEYS, "params")
         missing = PARAM_KEYS - set(raw_params)
         if missing:
             raise ConfigError(f"params.{sorted(missing)[0]}", "missing")
+        for key, value in raw_params.items():
+            _real(value, f"params.{key}")
+        _integer(raw_params["n_cavities"], "params.n_cavities")
         params = SystemParams(**raw_params)
 
-        initial = data.get("initial", {"kind": "photon_site", "site": 0})
-        unknown = set(initial) - {"kind", "site"}
-        if unknown:
-            raise ConfigError(f"initial.{sorted(unknown)[0]}", "unknown key")
+        initial = _check_keys(data.get("initial", {"kind": "photon_site", "site": 0}), {"kind", "site"}, "initial")
         kind = initial.get("kind")
         if kind == "atom_m":
             site = None
         elif kind == "photon_site":
-            site = int(initial.get("site", 0))
+            site = _integer(initial.get("site", 0), "initial.site")
         else:
             raise ConfigError("initial.kind", f"must be 'photon_site' or 'atom_m', got {kind!r}")
 
-        time = data.get("time", {})
-        unknown = set(time) - {"t_max", "dt"}
-        if unknown:
-            raise ConfigError(f"time.{sorted(unknown)[0]}", "unknown key")
-
-        sweep = data.get("sweep") or {}
-        unknown = set(sweep) - {"omega0", "xi"}
-        if unknown:
-            raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown key")
+        time = _check_keys(data.get("time", {}), {"t_max", "dt"}, "time")
+        sweep = _check_keys(data.get("sweep") or {}, {"omega0", "xi"}, "sweep")
 
         return cls(
             params=params,
             model=data.get("model", "effective"),
             photon_site=site,
-            t_max=float(time.get("t_max", 100.0)),
-            dt=float(time.get("dt", 0.025)),
+            t_max=float(_real(time.get("t_max", 100.0), "time.t_max")),
+            dt=float(_real(time.get("dt", 0.025), "time.dt")),
             unit=data.get("unit", "xi"),
             label=data.get("label", ""),
-            sweep_omega0=tuple(sweep["omega0"]) if "omega0" in sweep else None,
-            sweep_xi=tuple(sweep["xi"]) if "xi" in sweep else None,
+            sweep_omega0=_grid(sweep["omega0"], "sweep.omega0") if "omega0" in sweep else None,
+            sweep_xi=_grid(sweep["xi"], "sweep.xi") if "xi" in sweep else None,
         )
 
     @classmethod

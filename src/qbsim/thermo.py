@@ -41,9 +41,6 @@ __all__ = [
     "sweep_ergotropy",
 ]
 
-#: Battery basis ordering.
-BASIS = ("g", "d", "e", "m")
-
 
 @dataclass(frozen=True)
 class BatteryState:
@@ -252,10 +249,13 @@ def sweep_ergotropy(
     params_base: SystemParams,
     t_max: float,
     nt: int = 501,
-    photon_site: int = 1,
+    photon_site: int | None = 1,
     n_workers: int | None = None,
 ) -> SweepResult:
     """W_max(omega0, xi) over the grid within the window [0, t_max].
+
+    Every cell starts from a photon at cavity ``photon_site``, or from the
+    atom in |m> when it is None.
 
     Cells run in parallel processes, each with one BLAS thread; a failing
     cell records NaN plus its error message instead of aborting the sweep.

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import qbsim
+from qbsim import cli
 from qbsim.cli import main
 from qbsim.errors import ConfigError
 from qbsim.presets import PRESET_NAMES, ScenarioConfig, preset
+from qbsim.thermo import sweep_ergotropy
 
 
 @pytest.fixture
@@ -110,6 +112,39 @@ print([m for m in sys.modules if 'scipy' in m])
         code = main(["--out", str(tmp_path / "out"), "run", str(path)])
         assert code == 2
         assert "xi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("time", "t_max", "abc"),
+        ("initial", "site", "x"),
+        ("params", "xi", "1.0"),
+        ("params", "n_cavities", 21.5),
+    ])
+    def test_wrong_typed_value_exit_code_2(self, tmp_path, capsys, section, key, value):
+        data = preset("fig3a").to_dict()
+        data[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_sweep_starts_from_the_configured_initial_state(self, tmp_path, capsys):
+        base = preset("fig6")
+        cfg = ScenarioConfig(params=base.params.replace(n_cavities=21, xi=1.0), photon_site=None,
+                             t_max=15.0, dt=0.05, unit="omega_c", label="atom_sweep", sweep_xi=(1.0,))
+        path = tmp_path / "atom_sweep.json"
+        cfg.to_json(path)
+        assert main(["--out", str(tmp_path / "out"), "--threads", "1", "run", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        direct = sweep_ergotropy([cfg.params.omega0], [1.0], cfg.params, t_max=15.0, nt=301,
+                                 photon_site=None, n_workers=1)
+        assert summary["w_max_global"] == direct.w_max[0, 0]
+
+    def test_csv_text(self, tmp_path):
+        path = tmp_path / "x.csv"
+        cli._write_csv(path, ["x", "n"], [np.array([0.1, 1 / 3, -0.0, 1e-300, np.nan]), [0, 1, 2, 3, 10**6]])
+        # 17 significant digits with trailing zeros dropped; NaN is an empty field.
+        assert path.read_text() == ("x,n\n0.10000000000000001,0\n0.33333333333333331,1\n-0,2\n"
+                                    "1e-300,3\n,1000000\n")
 
     def test_run_twice_byte_identical(self, small_config, tmp_path, capsys):
         cfg, path = small_config

@@ -407,6 +407,7 @@ class TestBranchCutRule:
         with pytest.raises(NoConvergence, match="'branch_cut'") as raised:
             branch_cut_integral(100.0, fig2_params, 20.5 + 0j)
         assert raised.value.region == "branch_cut"
+        assert "root search" not in str(raised.value)
 
     def test_debug_log_names_the_level(self, fig2_params, caplog):
         caplog.set_level("DEBUG", logger="qbsim.spectral")
