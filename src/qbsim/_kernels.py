@@ -8,12 +8,13 @@ installed on this module sees every call.
 Schrodinger: H does not depend on time, so one RK4 step is exactly the
 matrix P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 with z = -i dt H, and n_sub
 steps are P^n_sub (Moler & Van Loan, SIAM Rev. 45 (2003) 3).  The kernel
-builds P by Horner's rule (3 matrix products) and its n_sub-th power by
-binary powering, in H's storage plus two buffers (3 x 16 dim^2 bytes),
-then advances each sample with one matrix-vector product; dt, n_sub and
-the truncation error are those of the step-by-step loop.  One code path
-serves the full model, and the effective model wherever ``evolve``'s
-eigenbasis path falls back, at every kappa; ``evolve`` passes it only the
+builds P by Horner's rule (3 matrix products) and raises it with
+``np.linalg.matrix_power``, then advances each sample with one
+matrix-vector product; dt, n_sub and the truncation error are those of
+the step-by-step loop.  The build holds a few transient dim x dim
+complex arrays at a time, O(dim^2) memory.  One code path serves the
+full model, and the effective model wherever ``evolve``'s eigenbasis
+path falls back, at every kappa; ``evolve`` passes it only the
 parity-even sector (na + (N+1)/2 states).  It stays the reference the
 eigenbasis path is tested against.
 
@@ -61,48 +62,6 @@ USING_COMPILED = False
 EIGENBASIS_MAX_COND = 1e3
 
 
-def _rk4_step_matrix(h: np.ndarray, dt: float, buf1: np.ndarray, buf2: np.ndarray) -> np.ndarray:
-    """P(-i dt H) by Horner's rule, left in buf2; h is overwritten with -i dt H."""
-    diag = slice(None, None, h.shape[0] + 1)
-    z = h
-    z *= -1j * dt
-    np.divide(z, 4.0, out=buf1)
-    buf1.flat[diag] += 1.0  # 1 + z/4
-    np.matmul(z, buf1, out=buf2)
-    buf2 /= 3.0
-    buf2.flat[diag] += 1.0  # 1 + z/3 (1 + z/4)
-    np.matmul(z, buf2, out=buf1)
-    buf1 /= 2.0
-    buf1.flat[diag] += 1.0  # 1 + z/2 (1 + z/3 (1 + z/4))
-    np.matmul(z, buf1, out=buf2)
-    buf2.flat[diag] += 1.0
-    return buf2
-
-
-def _matrix_power(m: np.ndarray, n: int, buf1: np.ndarray, buf2: np.ndarray) -> np.ndarray:
-    """m^n for n >= 1 by binary powering in m, buf1 and buf2, all of which it may overwrite.
-
-    Returns the one of the three arrays that holds the result.
-    """
-    result, spare = None, [buf1, buf2]
-    while True:
-        if n & 1:
-            out = spare.pop()
-            if result is None:
-                np.copyto(out, m)
-            else:
-                np.matmul(result, m, out=out)
-                spare.append(result)
-            result = out
-        n >>= 1
-        if n == 0:
-            return result
-        out = spare.pop()
-        np.matmul(m, m, out=out)
-        spare.append(m)
-        m = out
-
-
 def rk4_schrodinger(
     h: np.ndarray,
     na: int,
@@ -113,13 +72,13 @@ def rk4_schrodinger(
 ):
     """Propagate psi0 under the dense complex H, sampling every n_sub steps (sample 0 is psi0).
 
-    ``h`` is overwritten.  Returns (atom_samples, norm2_samples, psi_final,
-    build_s), where atom_samples holds the first ``na`` amplitudes and
-    build_s is the time spent building the propagation matrix.
+    Returns (atom_samples, norm2_samples, psi_final, build_s), where
+    atom_samples holds the first ``na`` amplitudes and build_s is the time
+    spent building the propagation matrix.
     """
     t0 = time.perf_counter()
-    buf1, buf2 = np.empty_like(h), np.empty_like(h)
-    step = _matrix_power(_rk4_step_matrix(h, dt, buf1, buf2), n_sub, h, buf1)
+    z, one = -1j * dt * h, np.eye(len(h))
+    step = np.linalg.matrix_power(z @ ((z @ ((z @ (one + z / 4)) / 3 + one)) / 2 + one) + one, n_sub)
     build_s = time.perf_counter() - t0
 
     psi = psi0.astype(complex)

@@ -46,8 +46,8 @@ runs on the dense kernel, which stays the tests' reference.
 
 The dense kernel, ``_kernels.rk4_schrodinger``, takes the na + (N+1)/2
 even states as the dense, shifted H of the ``even`` blocks: one
-precomputed matrix P(-i dt H)^n_sub per sample at every kappa,
-3 x 16 dim^2 bytes.
+precomputed matrix P(-i dt H)^n_sub (``np.linalg.matrix_power``) per
+sample at every kappa, in O(dim^2) memory.
 
 StepSizeTooLarge is raised before propagating if one RK4 step grows the
 norm^2 of an eigencomponent by more than NORM_GROWTH_TOL: the factor is

@@ -94,6 +94,11 @@ class ScenarioConfig:
             raise ConfigError("time.dt", f"must be in (0, t_max], got {self.dt}")
         if self.photon_site is not None and not 0 <= self.photon_site < self.params.n_cavities:
             raise ConfigError("initial.site", f"site {self.photon_site} outside 0..{self.params.n_cavities - 1}")
+        # The label names the output files, so it must stay one file-name stem inside --out.
+        if (not isinstance(self.label, str) or self.label in (".", "..")
+                or any(c in self.label for c in "/\\\0")):
+            raise ConfigError("label", f"must be a file-name stem without '/', '\\' or NUL, "
+                                       f"and not '.' or '..'; got {self.label!r}")
 
     def time_grid(self) -> np.ndarray:
         n = int(round(self.t_max / self.dt))
@@ -127,7 +132,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         _check_keys(data, TOP_KEYS)
-        if data.get("schema_version") != SCHEMA_VERSION:
+        if _integer(data.get("schema_version"), "schema_version") != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"must be {SCHEMA_VERSION}, got {data.get('schema_version')!r}")
         raw_params = _check_keys(data.get("params"), PARAM_KEYS, "params")
         missing = PARAM_KEYS - set(raw_params)

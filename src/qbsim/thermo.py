@@ -5,13 +5,14 @@ atom block extended by the ground level at energy zero.  Norm lost to
 the non-Hermitian evolution is booked as ground-state population before
 the ergotropy is evaluated, matching the Lindblad sink.
 
-In the effective model the reduced state is (1 - p)|g><g| + |u|^2 |D><D|
-with p = |u|^2 |D|^2, whose populations are {1 - p, p, 0, 0}.  So
-``ergotropy_trace`` takes W(t) in closed form,
-W = |u|^2 <D|H_B|D> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1, with
+A single-excitation ket with excited atom amplitudes a = (d, e, m) has
+the reduced state (1 - p)|g><g| + |a><a| with p = |a|^2, whose
+populations are {1 - p, p, 0, 0}; in the effective model a = u D.  So
+``ergotropy_trace`` takes W(t) of both models in closed form,
+W = <a|H_B|a> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1, with
 eps0 <= eps1 the two lowest eigenvalues of H_B (Allahverdyan, Balian &
 Nieuwenhuizen, EPL 67 (2004) 565): one 4 x 4 ``eigvalsh`` per trace instead
-of one per sample.  The full model, and ``ergotropy``, keep the stacked
+of one per sample.  ``ergotropy`` of an arbitrary state keeps the
 ``eigvalsh`` of ``_work``.
 """
 
@@ -80,6 +81,13 @@ def battery_hamiltonian(params: SystemParams) -> np.ndarray:
     return h
 
 
+def _excited_amplitudes(atom_amps: np.ndarray, params: SystemParams, model: str) -> np.ndarray:
+    """The (d, e, m) amplitudes of a model's atom amplitudes: u D in the effective model."""
+    if model == "effective":
+        return atom_amps[..., :1] * dark_state_vector(params)
+    return np.asarray(atom_amps, dtype=complex)
+
+
 def _battery_rho(atom_amps: np.ndarray, params: SystemParams, model: str) -> np.ndarray:
     """Reduced state(s) from the atom amplitudes of a single-excitation ket.
 
@@ -89,10 +97,7 @@ def _battery_rho(atom_amps: np.ndarray, params: SystemParams, model: str) -> np.
     remaining weight on |g><g|.  Leading axes of ``atom_amps`` (samples)
     are kept: shape (..., na) gives (..., 4, 4).
     """
-    if model == "effective":
-        bare = atom_amps[..., :1] * dark_state_vector(params)
-    else:
-        bare = np.asarray(atom_amps, dtype=complex)
+    bare = _excited_amplitudes(atom_amps, params, model)
     rho = np.zeros(bare.shape[:-1] + (4, 4), dtype=complex)
     rho[..., 1:, 1:] = bare[..., :, None] * bare[..., None, :].conj()
     excited = np.trace(rho[..., 1:, 1:], axis1=-2, axis2=-1).real
@@ -123,20 +128,19 @@ def _work(rho: np.ndarray, h_battery: np.ndarray, eps: np.ndarray) -> np.ndarray
     return active - _passive_populations(rho) @ eps
 
 
-def _dark_work(u: np.ndarray, params: SystemParams, h_battery: np.ndarray) -> np.ndarray:
-    """``_work`` of the effective model's states (1 - p)|g><g| + |u|^2 |D><D|, p = |u|^2 |D|^2.
+def _excited_work(a: np.ndarray, h_battery: np.ndarray) -> np.ndarray:
+    """``_work`` of the states (1 - p)|g><g| + |a><a|, p = |a|^2, for excited amplitudes a (..., 3).
 
     Their populations are {1 - p, p, 0, 0}, so for 0 <= p <= 1
-    W = |u|^2 <D|H_B|D> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1.
+    W = <a|H_B|a> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1.
     """
-    dark = dark_state_vector(params)
     eps = np.linalg.eigvalsh(h_battery)
-    u2 = u.real**2 + u.imag**2
-    p = u2 * np.vdot(dark, dark).real
+    a_conj = a.conj()
+    p = (a_conj * a).real.sum(axis=-1)
     trace = (1.0 - p) + p
     if not np.all(np.isfinite(trace)) or np.any(trace <= 0.0):
         raise NotNormalizable(f"trace {trace.min()} is not positive and finite")
-    active = u2 * np.vdot(dark, h_battery[1:, 1:] @ dark).real
+    active = (a_conj * (a @ h_battery[1:, 1:])).real.sum(axis=-1)  # H_B is real symmetric
     return active - np.maximum(p, 1.0 - p) * eps[0] - np.minimum(p, 1.0 - p) * eps[1]
 
 
@@ -177,11 +181,8 @@ def ergotropy_trace(scenario: ChargingScenario, t_grid: np.ndarray) -> Ergotropy
     """
     params = scenario.params
     series = evolve(scenario.initial_state(), np.asarray(t_grid, dtype=float), params)
-    h_b = battery_hamiltonian(params)
-    if scenario.model == "effective":
-        work = _dark_work(series.atom_amps[:, 0], params, h_b)
-    else:
-        work = _work(_battery_rho(series.atom_amps, params, scenario.model), h_b, np.linalg.eigvalsh(h_b))
+    work = _excited_work(_excited_amplitudes(series.atom_amps, params, scenario.model),
+                         battery_hamiltonian(params))
     power = np.zeros_like(work)
     power[1:] = work[1:] / series.times[1:]
     imax = int(np.argmax(work))

@@ -118,14 +118,29 @@ print([m for m in sys.modules if 'scipy' in m])
         ("initial", "site", "x"),
         ("params", "xi", "1.0"),
         ("params", "n_cavities", 21.5),
+        ("", "schema_version", True),  # True == 1, but it is not an integer
     ])
     def test_wrong_typed_value_exit_code_2(self, tmp_path, capsys, section, key, value):
         data = preset("fig3a").to_dict()
-        data[section][key] = value
+        (data[section] if section else data)[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        assert (f"{section}.{key}" if section else f"{key}:") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["../escape", "sub/dir", "sub\\dir", "..", ["x"]])
+    def test_label_outside_out_exit_code_2(self, tmp_path, capsys, label):
+        data = preset("fig3a").to_dict()
+        data["params"]["n_cavities"] = 21
+        data["time"] = {"t_max": 1.0, "dt": 0.05}
+        data["label"] = label
+        path = tmp_path / "cfgs" / "inner" / "bad.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(data))
+        assert main(["--out", str(tmp_path / "out" / "inner"), "run", str(path)]) == 2
+        assert "label:" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == [
+            "cfgs/inner/bad.json"]
 
     def test_sweep_starts_from_the_configured_initial_state(self, tmp_path, capsys):
         base = preset("fig6")

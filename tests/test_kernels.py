@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from qbsim import _kernels, effective_hamiltonian
-from qbsim._kernels import _matrix_power, _rk4_step_matrix
 from qbsim.dynamics import (
     check_time_grid,
     evolve,
@@ -115,12 +114,19 @@ def test_evolve_matches_step_by_step_rk4(fig3a_params, model, representation, ka
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 11, 23])
 def test_three_buffer_power_matches_numpy(fig3a_params, n):
+    # One sample of the kernel with n_sub = n against n applications of P(z), written term by term.
     h = effective_hamiltonian(fig3a_params, "mode")
     h -= 100.0 / 3.0 * np.eye(h.shape[0])
-    step = _rk4_step_matrix(h, 0.01, np.empty_like(h), np.empty_like(h))
-    expected = np.linalg.matrix_power(step, n)
-    got = _matrix_power(step.copy(), n, np.empty_like(h), np.empty_like(h))
-    assert np.max(np.abs(got - expected)) <= 1e-13
+    psi0 = np.zeros(h.shape[0], dtype=complex)
+    psi0[[0, 1, 7]] = 0.6, 0.64j, -0.48
+    z = -1j * 0.01 * h
+    z2 = z @ z
+    step = np.eye(h.shape[0]) + z + z2 / 2 + z2 @ z / 6 + z2 @ z2 / 24
+    expected = psi0
+    for _ in range(n):
+        expected = step @ expected
+    samples, _, _, _ = _kernels.rk4_schrodinger(h, h.shape[0], psi0, 0.01, n_sub=n, n_samples=2)
+    assert np.max(np.abs(samples[1] - expected)) <= 1e-13
 
 
 def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub, n_samples):

@@ -1,7 +1,9 @@
 import cmath
 import functools
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,54 @@ def _with_coupling(params, g: float):
     """params with g1, g2 scaled to the total coupling g."""
     scale = g / params.g
     return params.replace(g1=params.g1 * scale, g2=params.g2 * scale)
+
+
+# TestBranchCutRule's cases.  Their references are stored in REFERENCE_FILE, which
+# make_branch_cut_references.py writes with the two reference functions above.
+# LIVE_GRID_CASE and LIVE_PRESET are also recomputed on every run and checked against the
+# file, so the script and the file cannot drift apart unnoticed.
+GRID_G, GRID_OFFSET, GRID_IM, GRID_T = [1e-2, 1.0], [-2.5, -1.999, 0.0, 1.999], [0.0, -0.05], [0.0, 100.0]
+WEAK_E1 = [18.001 - 1j, 17.5 - 1j]
+PRESETS = ["fig2", "fig3a", "fig4"]
+LIVE_GRID_CASE, LIVE_PRESET = (1e-2, 1.999, -0.05, 100.0), "fig4"
+REFERENCE_FILE = Path(__file__).with_name("branch_cut_references.json")
+STORED_TOL = 1e-13  # a stored reference against its live recomputation
+
+
+def _grid_case(base, g: float, offset: float, im: float):
+    p = _with_coupling(base, g * base.xi)
+    return p, complex(p.omega0 + offset * p.xi, im)
+
+
+def _weak_case(base, e1: complex):
+    return _with_coupling(base, 1e-2), e1
+
+
+def _draw_case(base):
+    # Draw 2755 of seed 2 of the spectral benchmark.
+    p = base.replace(omega0=31.243793526289384, xi=2.08201891642074,
+                     g1=-0.3301795765427415, g2=0.33595926967959033)
+    return p, complex(31.49687571220702, -0.053379565308940606)
+
+
+def _preset_case(name: str):
+    p = preset(name).params
+    return p, atom_eigensystem_exact(p).dark_energy, np.linspace(0.0, 100.0, 201)
+
+
+def _reference_key(method: str, t: float, params, e1: complex, initial: str) -> str:
+    """A reference's inputs as its key, every number by repr, so that it round-trips exactly."""
+    return (f"{method} t={float(t)!r} omega0={float(params.omega0)!r} xi={float(params.xi)!r} "
+            f"g={float(params.g)!r} e1={complex(e1)!r} {initial}")
+
+
+@functools.cache
+def _stored_references() -> dict:
+    return json.loads(REFERENCE_FILE.read_text())["values"]
+
+
+def _stored(method: str, t: float, params, e1: complex, initial: str = "photon") -> complex:
+    return complex(*_stored_references()[_reference_key(method, t, params, e1, initial)])
 
 
 class TestLatticeSum:
@@ -359,39 +409,43 @@ class TestBranchCutRule:
     # The tanh-sinh rule against 25-digit mpmath, including where quad
     # silently misses, and against the quad reference where quad is right.
 
-    @pytest.mark.parametrize("t", [0.0, 100.0])
-    @pytest.mark.parametrize("im", [0.0, -0.05])
-    @pytest.mark.parametrize("offset", [-2.5, -1.999, 0.0, 1.999])
-    @pytest.mark.parametrize("g", [1e-2, 1.0])
+    @pytest.mark.parametrize("t", GRID_T)
+    @pytest.mark.parametrize("im", GRID_IM)
+    @pytest.mark.parametrize("offset", GRID_OFFSET)
+    @pytest.mark.parametrize("g", GRID_G)
     def test_grid_matches_extended_precision(self, fig2_params, g, offset, im, t):
-        p = _with_coupling(fig2_params, g * fig2_params.xi)
-        e1 = complex(p.omega0 + offset * p.xi, im)
-        for initial, expected in _mpmath_branch_cut_integrals(t, p, e1).items():
+        p, e1 = _grid_case(fig2_params, g, offset, im)
+        for initial in ("photon", "atom"):
+            expected = _stored("mpmath", t, p, e1, initial)
+            if (g, offset, im, t) == LIVE_GRID_CASE:
+                live = _mpmath_branch_cut_integrals(t, p, e1)[initial]
+                assert abs(expected - live) <= STORED_TOL
+                expected = live
             assert abs(branch_cut_integral(t, p, e1, initial) - expected) <= 1e-10
 
-    @pytest.mark.parametrize("e1", [18.001 - 1j, 17.5 - 1j])
+    @pytest.mark.parametrize("e1", WEAK_E1)
     def test_weak_coupling_cases_quad_misses(self, fig2_params, e1):
         # quad is off by 2.6e-7 (with an IntegrationWarning) and 2.0e-7 (without one).
-        p = _with_coupling(fig2_params, 1e-2)
-        expected = _mpmath_branch_cut_integrals(0.0, p, e1)["photon"]
+        p, e1 = _weak_case(fig2_params, e1)
+        expected = _stored("mpmath", 0.0, p, e1, "photon")
         assert abs(branch_cut_integral(0.0, p, e1) - expected) <= 1e-10
 
     def test_spectral_benchmark_draw_quad_misses(self, fig2_params):
-        # Draw 2755 of seed 2 of the spectral benchmark, atom start: quad gives
-        # 0.50043 + 3.1e-6i.  A pole of the density lies about 1e-4 off the real axis at theta*.
-        p = fig2_params.replace(omega0=31.243793526289384, xi=2.08201891642074,
-                                g1=-0.3301795765427415, g2=0.33595926967959033)
-        e1 = complex(31.49687571220702, -0.053379565308940606)
-        expected = _mpmath_branch_cut_integrals(0.0, p, e1)["atom"]
+        # Atom start: quad gives 0.50043 + 3.1e-6i.  A pole of the density lies about
+        # 1e-4 off the real axis at theta*.
+        p, e1 = _draw_case(fig2_params)
+        expected = _stored("mpmath", 0.0, p, e1, "atom")
         assert abs(expected - (0.99966566832207 + 3.11146e-6j)) <= 1e-13
         assert abs(branch_cut_integral(0.0, p, e1, "atom") - expected) <= 1e-10
 
-    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig4"])
+    @pytest.mark.parametrize("name", PRESETS)
     def test_presets_match_quad_in_one_call(self, name):
-        p = preset(name).params
-        e1 = atom_eigensystem_exact(p).dark_energy
-        t = np.linspace(0.0, 100.0, 201)
-        expected = [_reference_branch_cut_integral(tv, p, e1) for tv in t]
+        p, e1, t = _preset_case(name)
+        expected = np.array([_stored("quad", tv, p, e1) for tv in t])
+        if name == LIVE_PRESET:
+            live = np.array([_reference_branch_cut_integral(tv, p, e1) for tv in t])
+            assert np.max(np.abs(expected - live)) <= STORED_TOL
+            expected = live
         assert np.max(np.abs(branch_cut_integral(t, p, e1) - expected)) <= 1e-10
 
     def test_scalar_and_array_times(self, fig2_params):

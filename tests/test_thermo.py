@@ -15,7 +15,7 @@ from qbsim.thermo import (
     BatteryState,
     ChargingScenario,
     _battery_rho,
-    _dark_work,
+    _excited_work,
     _one_blas_thread,
     _work,
     battery_hamiltonian,
@@ -216,24 +216,26 @@ class TestErgotropyTrace:
         assert np.max(np.abs(trace.work - per_sample)) <= 1e-13
         assert trace.w_max > 0.01  # the window charges
 
-    @pytest.mark.parametrize("n", [21, 253, 1001])
-    def test_closed_form_work_matches_eigvalsh(self, n):
-        # The effective model's W(t) in closed form against the stacked 4 x 4 eigvalsh.
+    @pytest.mark.parametrize("model, n", [
+        pytest.param(model, n, id=str(n) if model == "effective" else f"{model}-{n}")
+        for model in ("effective", "full") for n in (21, 253, 1001)])
+    def test_closed_form_work_matches_eigvalsh(self, model, n):
+        # W(t) in closed form against the stacked 4 x 4 eigvalsh.
         base = preset("fig5").params.replace(n_cavities=n)
         for omega0, xi, kappa in ((19.2, 0.7, base.kappa), (23.2, 1.7, 0.0)):
             p = base.replace(omega0=omega0, xi=xi, kappa=kappa)
-            scenario = ChargingScenario(params=p, photon_site=1)
+            scenario = ChargingScenario(params=p, photon_site=1, model=model)
             t_grid = np.linspace(0.0, 15.0, 301)
             trace = ergotropy_trace(scenario, t_grid)
             series = evolve(scenario.initial_state(), t_grid, p)
             h_b = battery_hamiltonian(p)
-            reference = _work(_battery_rho(series.atom_amps, p, "effective"), h_b, np.linalg.eigvalsh(h_b))
+            reference = _work(_battery_rho(series.atom_amps, p, model), h_b, np.linalg.eigvalsh(h_b))
             assert np.max(np.abs(trace.work - reference)) <= 1e-13 * max(1.0, np.max(np.abs(reference)))
 
     def test_closed_form_work_rejects_non_finite_state(self, charger_params):
         h_b = battery_hamiltonian(charger_params)
         with pytest.raises(NotNormalizable):
-            _dark_work(np.array([0.5, np.nan]), charger_params, h_b)
+            _excited_work(np.array([[0.5, 0.0, 0.0], [np.nan, 0.0, 0.0]]), h_b)
 
     def test_power_definition(self, charger_params):
         trace = ergotropy_trace(ChargingScenario(params=charger_params, photon_site=1),
