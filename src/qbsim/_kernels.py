@@ -12,11 +12,11 @@ builds P by Horner's rule (3 matrix products) and raises it with
 ``np.linalg.matrix_power``, then advances each sample with one
 matrix-vector product; dt, n_sub and the truncation error are those of
 the step-by-step loop.  The build holds a few transient dim x dim
-complex arrays at a time, O(dim^2) memory.  One code path serves the
-full model, and the effective model wherever ``evolve``'s eigenbasis
-path falls back, at every kappa; ``evolve`` passes it only the
-parity-even sector (na + (N+1)/2 states).  It stays the reference the
-eigenbasis path is tested against.
+complex arrays at a time, O(dim^2) memory.  It serves the full model at
+g != 0, and either model wherever one of ``evolve``'s eigenbasis paths
+falls back, at every kappa; ``evolve`` passes it only the parity-even
+sector (na + (N+1)/2 states).  It stays the reference the eigenbasis
+paths are tested against.
 
 Lindblad: with H_eff = H - i kappa/2 P_d and Z = -i dt H_eff, one RK4
 step is P(dt L), dt L(rho) = Z rho + rho Z^H + dt kappa rho_dd |sink><sink|:
@@ -32,7 +32,10 @@ the same polynomial, dt and n_sub as the step-by-step loop, at O(dim^2)
 per sample after one ``eig``.  rho is rebuilt only at the end, made
 exactly Hermitian.  Near an exceptional point V is ill-conditioned and
 the eigenbasis loses digits, so above EIGENBASIS_MAX_COND the Horner
-stages run instead.
+stages run instead.  Either way the same step scales y_ab by P(mu_ab), so
+StepSizeTooLarge is raised before the first step if max |P(mu_ab)|^2 - 1
+exceeds NORM_GROWTH_TOL: RK4 is stable on rho_dd only while dt kappa <=
+2.785, and ``step_rule`` does not read kappa.
 
 The Horner stages write the step as r <- rho + (dt/k) L(r) for
 k = 4, 3, 2, 1.  H_eff in site space is a uniform ring of sites, the 3 x 3
@@ -53,8 +56,12 @@ import time
 
 import numpy as np
 
+from .errors import StepSizeTooLarge
+
 #: There is no compiled backend; kept for run records that report it.
 USING_COMPILED = False
+#: Allowed norm^2 growth: per RK4 step of an eigencomponent, and over a trajectory.
+NORM_GROWTH_TOL = 1e-6
 #: Largest cond(V) of H_eff's eigenvectors at which ``rk4_lindblad`` runs in
 #: the eigenbasis; closer to an exceptional point the Horner stages run.
 #: Every preset at N = 21, 53 and 253, with and without kappa and g, has
@@ -119,18 +126,28 @@ def rk4_lindblad(
 
     Returns (atom_samples, trace_samples, rho_final, cond_v): the sampled
     3 x 3 atom block, tr rho, the last state, and cond(V) of the
-    eigenbasis, or None where the Horner stages ran.
+    eigenbasis, or None where the Horner stages ran.  Raises
+    StepSizeTooLarge before the first step if that step is unstable
+    (module docstring).
     """
     h_eff = h_real.astype(complex)
     h_eff[d_index, d_index] -= 0.5j * kappa
     rho = rho0.astype(complex)
     rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian, so every Horner stage stays so
     lam, v, cond_v = _sink_padded_eig(h_eff, sink_index)
+    mu = lam[:, None] - lam.conj()
+    mu *= -1j * dt
+    growth = np.max(np.abs(rk4_factor(mu)) ** 2) - 1.0
+    if growth > NORM_GROWTH_TOL:
+        raise StepSizeTooLarge(
+            f"RK4 step dt = {dt:.4g} (n_sub = {n_sub}, kappa = {kappa:.6g}) grows |y_ab|^2 by up to "
+            f"{growth:.3e} per step, above NORM_GROWTH_TOL = {NORM_GROWTH_TOL:g}")
     if cond_v <= EIGENBASIS_MAX_COND:
         w = np.linalg.inv(v)
         y = w @ rho @ w.conj().T
         del h_eff, rho, w  # keep only the eigenbasis arrays live while it propagates
-        return (*_lindblad_eigenbasis(lam, v, y, kappa, d_index, sink_index, dt, n_sub, n_samples), cond_v)
+        return (*_lindblad_eigenbasis(mu, v, y, kappa, d_index, sink_index, dt, n_sub, n_samples), cond_v)
+    del mu
     return (*_lindblad_horner(h_eff, kappa, d_index, sink_index, rho, dt, n_sub, n_samples), None)
 
 
@@ -148,16 +165,14 @@ def _sink_padded_eig(h_eff: np.ndarray, sink: int):
     return lam, v, float(np.linalg.cond(v))
 
 
-def _lindblad_eigenbasis(lam, v, y, kappa, d_index, sink, dt, n_sub, n_samples):
+def _lindblad_eigenbasis(mu, v, y, kappa, d_index, sink, dt, n_sub, n_samples):
     """Jump-to-ground RK4 on y = V^-1 rho V^-H (module docstring), sampling every n_sub steps.
 
-    Per sample y <- y o P^n_sub, and the sink gains sum_ab C_ab y_ab with
-    C = kappa dt (V_d x conj V_d) o Q o sum_{m < n_sub} P^m.  ``y`` is
-    overwritten.
+    mu_ab = -i dt (lam_a - conj lam_b).  Per sample y <- y o P^n_sub, and the
+    sink gains sum_ab C_ab y_ab with C = kappa dt (V_d x conj V_d) o Q o
+    sum_{m < n_sub} P^m.  ``y`` is overwritten.
     """
-    dim = len(lam)
-    mu = lam[:, None] - lam.conj()
-    mu *= -1j * dt
+    dim = len(mu)
     step = rk4_factor(mu)
     # Weights of tr(V y V^H) = sum_ab (V^H V)_ba y_ab and of the sink gain, read as one product.
     weights = np.empty((2, dim, dim), dtype=complex)

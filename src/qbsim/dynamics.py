@@ -34,15 +34,22 @@ O(nt dim).  norm2 stays O(dim^2) per sample: at kappa > 0 the v_j are not
 orthogonal (H is not normal), so |psi|^2 needs all of V (r o G^i), one
 matrix product per block.  At weak coupling lambda_j - omega_k of the
 nearest mode keeps only the roots' absolute digits, so that distance is
-taken from the secular equation as a quadratic in it.  At g = 0 H is
-diagonal and each amplitude advances by its own factor.  The path falls
-back to the dense kernel, and the DEBUG line says which guard failed, when
-the root search fails to converge (the phase equation's arctan crosses its
-branch cut when |Im E1| >> g^2/xi), when two roots lie within
-MIN_ROOT_GAP xi (near an exceptional point), or when the sum rules
-sum_j r_j = u(0) and sum_j r_j (lambda_j - centroid) = ((H - centroid)
-psi0)_atom miss by more than SUM_RULE_TOL |psi0|.  The full model always
-runs on the dense kernel, which stays the tests' reference.
+taken from the secular equation as a quadratic in it.
+
+At g = 0, in either model, the atom couples to no mode.  Its na x na
+block alone (E1, or the full model's (d, e, m) block), shifted by the
+centroid, is diagonalised by ``np.linalg.eig`` as W diag(lambda) W^-1, and
+psi_atom = W r runs through the same sample stage; every mode, even and
+odd, advances by its own factor, as the odd modes do at g != 0.
+
+The eigenbasis paths fall back to the dense kernel, and the DEBUG line
+says which guard failed, when the root search fails to converge (the
+phase equation's arctan crosses its branch cut when |Im E1| >> g^2/xi),
+when two roots lie within MIN_ROOT_GAP xi (near an exceptional point), or
+when the sum rules, the atom rows of psi0 = V r and of (H - centroid) psi0
+= V (lambda o r), miss by more than SUM_RULE_TOL |psi0| (the second over
+max|lambda|).  The full model at g != 0 runs on the dense kernel, which
+stays the tests' reference.
 
 The dense kernel, ``_kernels.rk4_schrodinger``, takes the na + (N+1)/2
 even states as the dense, shifted H of the ``even`` blocks: one
@@ -53,8 +60,9 @@ StepSizeTooLarge is raised before propagating if one RK4 step grows the
 norm^2 of an eigencomponent by more than NORM_GROWTH_TOL: the factor is
 |P(-i dt lambda)|^2 = 1 - y^6/72 + y^8/576, y = dt lambda (Hairer &
 Wanner, Solving ODEs II, IV.2), and a state's one-step ratio is its
-weighted mean.  The eigenbasis path reads it from the roots and the odd
-levels at every kappa; the dense path, at kappa = 0 only, from
+weighted mean.  The eigenbasis paths read it at every kappa from the
+roots and the odd levels, or at g = 0 from the atom eigenvalues and every
+mode level; the dense path, at kappa = 0 only, from
 ``eigvalsh`` of the shifted even H (E1's rounding-level imaginary part is
 ignored).  After propagating, at every kappa, it is raised if norm^2 rises
 above its start by more than NORM_GROWTH_TOL or is not finite.  Each call
@@ -73,6 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, spectral
+from ._kernels import NORM_GROWTH_TOL
 from .errors import IndexOutOfRange, NoConvergence, OutOfRange, StepSizeTooLarge
 from .model import assemble_hamiltonian, dark_state_vector, hamiltonian_blocks
 from .params import SystemParams
@@ -92,9 +101,6 @@ __all__ = [
 
 #: dt <= STEP_FACTOR / max|diag - centroid|
 STEP_FACTOR = 0.02
-
-#: Allowed norm^2 growth: per step of an eigencomponent at kappa = 0, and over the trajectory.
-NORM_GROWTH_TOL = 1e-6
 
 #: Eigenbasis guards: the smallest gap between roots, over xi, and the
 #: sum-rule residuals, over |psi| (module docstring).
@@ -119,9 +125,16 @@ def _join_parity(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _odd_norm2(odd: np.ndarray, factor: np.ndarray, n_samples: int) -> np.ndarray:
-    """sum_k |odd_k factor_k^i|^2 for i < n_samples, in blocks of samples so memory stays O(N)."""
-    log_decay = np.log(np.abs(factor) ** 2)
-    weights = np.abs(odd) ** 2
+    """sum_k |odd_k factor_k^i|^2 for i < n_samples, in blocks of samples so memory stays O(N).
+
+    ``odd`` holds the amplitudes that advance by their own factors: the odd
+    modes, and at g = 0 every mode.  Exact zeros add exact zeros, so they are skipped.
+    """
+    live = odd != 0.0
+    if not live.any():
+        return np.zeros(n_samples)
+    log_decay = np.log(np.abs(factor[live]) ** 2)
+    weights = np.abs(odd[live]) ** 2
     out = np.empty(n_samples)
     block = max(1, (1 << 16) // len(weights))
     for start in range(0, n_samples, block):
@@ -277,9 +290,6 @@ def _even_eigenbasis(params: SystemParams, e1: complex, coupling: np.ndarray, le
     fails (module docstring).
     """
     dim = len(psi)
-    if params.g == 0.0:  # H is diagonal: each amplitude advances by its own factor
-        lam = np.r_[e1 - params.omega0, levels] + (params.omega0 - centroid)
-        return (lam, np.eye(dim, dtype=complex), psi), "eigenbasis"
     try:
         lam = spectral.even_sector_roots(params, e1)
     except NoConvergence as exc:
@@ -314,19 +324,41 @@ def _even_eigenbasis(params: SystemParams, e1: complex, coupling: np.ndarray, le
     return (lam, vecs, res), "eigenbasis"
 
 
+def _atom_eigenbasis(atom_block: np.ndarray, centroid: float, psi: np.ndarray, mode_shift: np.ndarray):
+    """(lambda - centroid, W, r) of the atom block alone, for g = 0, and the path for the log.
+
+    The columns of W are the eigenvectors of the shifted na x na block and
+    the atom amplitudes psi[:na] = W r; ``mode_shift`` holds the mode levels
+    minus the centroid.  Returns (None, "dense (...)") if the sum rules miss
+    (module docstring).
+    """
+    atom = psi[:len(atom_block)]
+    shifted = atom_block - centroid * np.eye(len(atom))
+    lam, vecs = np.linalg.eig(shifted)
+    res = np.linalg.solve(vecs, atom)
+    # Sum rules: psi_atom = W r and (A - centroid) psi_atom = W (lambda r), the second over
+    # max|lambda| of the even H, as in _even_eigenbasis.
+    scale = max(np.max(np.abs(lam)), np.max(np.abs(mode_shift)))
+    drift = (np.max(np.abs(vecs @ res - atom)), np.max(np.abs(vecs @ (lam * res) - shifted @ atom)) / scale)
+    if not max(drift) <= SUM_RULE_TOL * math.sqrt(np.vdot(psi, psi).real):
+        return None, f"dense (sum rules off by {drift[0]:.3g}, {drift[1]:.3g})"
+    return (lam, vecs, res), "eigenbasis"
+
+
 def _eigenbasis_samples(lam: np.ndarray, vecs: np.ndarray, res: np.ndarray, dt: float, n_sub: int,
-                        n_samples: int):
+                        n_samples: int, na: int):
     """Samples i < n_samples of psi = V (r o G^i), G = P(-i dt lambda)^n_sub, as ``rk4_schrodinger``.
 
     The coefficients come from cumulative products of G in blocks of about
     2^14/dim samples, so the working set stays O(dim) per sample of a block.
-    Returns (atom_samples, norm2_samples, psi_final).
+    Returns (atom_samples, norm2_samples, psi_final), with the first ``na``
+    amplitudes of psi as the atom samples.
     """
     dim = len(lam)
     step = _kernels.rk4_factor(-1j * dt * lam) ** n_sub
     block = max(1, (1 << 14) // dim)
     coef = np.empty((min(block, n_samples), dim), dtype=complex)
-    atom_out = np.empty((n_samples, 1), dtype=complex)
+    atom_out = np.empty((n_samples, na), dtype=complex)
     norm_out = np.empty(n_samples)
     last = res
     for start in range(0, n_samples, block):
@@ -335,7 +367,7 @@ def _eigenbasis_samples(lam: np.ndarray, vecs: np.ndarray, res: np.ndarray, dt: 
         rows[1:] = step
         np.cumprod(rows, axis=0, out=rows)
         psi = rows @ vecs.T
-        atom_out[start:start + len(rows), 0] = psi[:, 0]
+        atom_out[start:start + len(rows)] = psi[:, :na]
         norm_out[start:start + len(rows)] = np.einsum("ij,ij->i", psi.real, psi.real) + np.einsum(
             "ij,ij->i", psi.imag, psi.imag)
         last = rows[-1] * step
@@ -353,10 +385,11 @@ def evolve(
     ``t_grid`` must be a uniform, increasing grid starting at 0.  The RK4
     substep follows ``step_rule`` over the diagonal of the even-sector H in
     either representation.  The effective model runs in the eigenbasis of
-    its even H unless a guard fails (module docstring).  Raises
-    StepSizeTooLarge as the module docstring says: before propagating on
-    the eigenbasis path and, on the dense path, at kappa = 0; and if the
-    norm grows or stops being finite.
+    its even H, and either model at g = 0 in that of its atom block,
+    unless a guard fails (module docstring).  Raises StepSizeTooLarge as
+    the module docstring says: before propagating on the eigenbasis paths
+    and, on the dense path, at kappa = 0; and if the norm grows or stops
+    being finite.
     """
     t_grid, dt_grid = check_time_grid(t_grid)
 
@@ -364,20 +397,27 @@ def evolve(
     even0, odd0 = _split_parity(psi_mode.photon)
     atom_block, coupling, even_levels = hamiltonian_blocks(params, psi0.model, "even", e1)
     centroid, n_sub, dt = step_rule(np.r_[np.diag(atom_block).real, even_levels.real], dt_grid)
-    odd_shift = even_levels[1:].real - centroid
+    # Amplitudes that couple to nothing advance by their own factors: the odd
+    # modes, and at g = 0 the even modes too.
+    free, free_shift = odd0, even_levels[1:].real - centroid
     na, nt = len(psi0.atom), len(t_grid)
     psi_init = np.concatenate([psi_mode.atom, even0])
 
     t0 = time.perf_counter()
     basis, path = None, "dense (full model)"
-    if psi0.model == "effective":
+    if params.g == 0.0:
+        even_shift = even_levels.real - centroid
+        basis, path = _atom_eigenbasis(atom_block, centroid, psi_init, even_shift)
+        if basis is not None:
+            free, free_shift = np.concatenate([even0, free]), np.concatenate([even_shift, free_shift])
+    elif psi0.model == "effective":
         basis, path = _even_eigenbasis(params, complex(atom_block[0, 0]), coupling[0].real,
                                        even_levels.real - params.omega0, centroid, psi_init)
     if basis is not None:
         lam, vecs, res = basis
-        _check_step(np.r_[lam, odd_shift], dt, n_sub)
+        _check_step(np.r_[lam, free_shift], dt, n_sub)
         build_s = time.perf_counter() - t0
-        atom_amps, norm2, psi_final = _eigenbasis_samples(lam, vecs, res, dt, n_sub, nt)
+        atom_amps, norm2, psi_final = _eigenbasis_samples(lam, vecs, res, dt, n_sub, nt, na)
     else:
         h = assemble_hamiltonian(params, atom_block, coupling, even_levels)
         h.flat[:: h.shape[0] + 1] -= centroid
@@ -388,8 +428,8 @@ def evolve(
             _check_step(np.linalg.eigvalsh(h), dt, n_sub)
         atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
             h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
-    odd_factor = _kernels.rk4_factor(-1j * dt * odd_shift) ** n_sub
-    norm2 = norm2 + _odd_norm2(odd0, odd_factor, nt)
+    free_factor = _kernels.rk4_factor(-1j * dt * free_shift) ** n_sub
+    norm2 = norm2 + _odd_norm2(free, free_factor, nt)
     logger.debug(
         "evolve %s/%s: dim %d, n_sub %d, dt %.4g, %d RK4 steps; %s %.4f s, propagation %.4f s; %s; "
         "even dim %d", psi0.model, psi0.representation, na + params.n_cavities, n_sub, dt,
@@ -404,7 +444,9 @@ def evolve(
     else:
         dark = dark_state_vector(params)
         p_dark = np.abs(atom_amps @ dark.conj()) ** 2
-    photon = _join_parity(psi_final[na:], odd0 * odd_factor ** (nt - 1))
+    # atom, even modes, odd modes: the propagated block first, then the free amplitudes
+    psi_final = np.concatenate([psi_final, free * free_factor ** (nt - 1)])
+    photon = _join_parity(psi_final[na:na + len(even0)], psi_final[na + len(even0):])
     final = WaveFunction(psi_final[:na], photon, "mode", psi0.model).to_representation(
         psi0.representation, params)
     return TimeSeries(

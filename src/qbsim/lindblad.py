@@ -17,7 +17,11 @@ step is a scalar per element plus the sink's gain: the same steps as the
 step-by-step loop at O(dim^2) per sample (see ``qbsim._kernels``).  Only
 when cond(V) of that basis exceeds ``_kernels.EIGENBASIS_MAX_COND`` (near
 an exceptional point of H_eff) does the kernel run four Horner stages
-per step instead.  ``lindblad_evolve`` logs each call's dim,
+per step instead.  On either path the kernel checks, from H_eff's
+eigenvalues and before the first step, that no element of rho in that
+basis grows per step by more than ``NORM_GROWTH_TOL``; ``step_rule``
+ignores kappa, and RK4 is stable on rho_dd only while dt kappa <= 2.785.
+``lindblad_evolve`` logs each call's dim,
 n_sub, dt, step count, trace drift, propagation time and kernel path
 (eigenbasis with its cond(V), or Horner stages) to ``qbsim.lindblad`` at
 DEBUG.
@@ -111,8 +115,11 @@ def lindblad_evolve(
     RK4 with the same step rule as the Schrodinger side (``step_rule``
     over the coupled diagonal: the atom levels and omega0).  The result
     holds the final state.  ``rho0`` must have dim N + 4 (ValueError).
-    Raises StepSizeTooLarge if tr rho stops being finite and TraceDrift
-    if |tr rho - 1| exceeds 1e-6 at any sample; both name dt and n_sub.
+    Raises StepSizeTooLarge before propagating if one RK4 step would grow
+    an element of rho in H_eff's eigenbasis by more than NORM_GROWTH_TOL
+    (naming dt, n_sub and kappa); after it, StepSizeTooLarge if tr rho
+    stops being finite and TraceDrift if |tr rho - 1| exceeds 1e-6 at any
+    sample, both naming dt and n_sub.
     """
     dim = params.n_cavities + 4
     if rho0.rho.shape != (dim, dim):

@@ -98,6 +98,8 @@ def _battery_rho(atom_amps: np.ndarray, params: SystemParams, model: str) -> np.
     are kept: shape (..., na) gives (..., 4, 4).
     """
     bare = _excited_amplitudes(atom_amps, params, model)
+    if not np.all(np.isfinite(bare)):
+        raise NotNormalizable("atom amplitudes are not finite")
     rho = np.zeros(bare.shape[:-1] + (4, 4), dtype=complex)
     rho[..., 1:, 1:] = bare[..., :, None] * bare[..., None, :].conj()
     excited = np.trace(rho[..., 1:, 1:], axis1=-2, axis2=-1).real

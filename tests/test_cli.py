@@ -206,6 +206,14 @@ print([m for m in sys.modules if 'scipy' in m])
         fit = json.loads((tmp_path / "out" / "fit_decay.json").read_text())
         assert fit["rate"] == pytest.approx(0.04, rel=1e-6)
 
+    def test_reproduce_fig4_runs_without_the_dense_kernel(self, tmp_path, monkeypatch, capsys):
+        # Both fig4 runs, the bare atom at g = 0 included, propagate in an eigenbasis.
+        monkeypatch.setattr(qbsim._kernels, "rk4_schrodinger", None)
+        assert main(["--out", str(tmp_path), "reproduce", "fig4"]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "fig4_summary.json").read_text())
+        assert summary["r_abs_no_cavity"] >= 0.99 and summary["gamma"] > 0.0
+
     def test_reproduce_rejects_unknown_figure(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--out", str(tmp_path), "reproduce", "fig9"])

@@ -153,20 +153,26 @@ def _evolve_on(path, psi0, t_grid, params, monkeypatch, caplog):
     caplog.clear()
     with monkeypatch.context() as m:
         if path == "dense":
-            m.setattr(dynamics, "_even_eigenbasis", lambda *args: (None, "dense (reference)"))
+            for name in ("_even_eigenbasis", "_atom_eigenbasis"):
+                m.setattr(dynamics, name, lambda *args: (None, "dense (reference)"))
         series = evolve(psi0, t_grid, params)
     (record,) = [r for r in caplog.records if r.name == "qbsim.dynamics"]
     return series, record.getMessage().split("; ")[-2]
+
+
+def _assert_close(fast, ref, tol=1e-12, norm_tol=1e-12):
+    """Atom amplitudes and final states within ``tol``, norm^2 within ``norm_tol``."""
+    final = [np.concatenate([s.final_state.atom, s.final_state.photon]) for s in (fast, ref)]
+    assert np.max(np.abs(fast.atom_amps - ref.atom_amps)) <= tol
+    assert np.max(np.abs(fast.norm2 - ref.norm2)) <= norm_tol
+    assert np.max(np.abs(final[0] - final[1])) <= tol
 
 
 def _assert_matches_dense(psi0, t_grid, params, monkeypatch, caplog) -> str:
     """The default path against the dense kernel at the eigenbasis bounds; returns the path taken."""
     fast, path = _evolve_on("default", psi0, t_grid, params, monkeypatch, caplog)
     ref, _ = _evolve_on("dense", psi0, t_grid, params, monkeypatch, caplog)
-    final = [np.concatenate([s.final_state.atom, s.final_state.photon]) for s in (fast, ref)]
-    assert np.max(np.abs(fast.atom_amps - ref.atom_amps)) <= 1e-12
-    assert np.max(np.abs(fast.norm2 - ref.norm2)) <= 1e-11
-    assert np.max(np.abs(final[0] - final[1])) <= 1e-12
+    _assert_close(fast, ref, norm_tol=1e-11)
     return path
 
 
@@ -261,6 +267,51 @@ class TestEigenbasisPath:
         assert "RK4 steps; roots " in message and message.endswith("; eigenbasis; even dim 128")
         _, path = _evolve_on("dense", *evolve_args)
         assert "RK4 steps; matrix " in caplog.records[-1].getMessage() and path == "dense (reference)"
+
+
+class TestDecoupledAtom:
+    # At g = 0 the atom couples to no mode: its block runs in its own eigenbasis
+    # and every mode advances by its own factor.  The reference is the dense
+    # kernel on the assembled even H.
+
+    @pytest.mark.parametrize("n", [21, 53, 253])
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4"])
+    def test_matches_dense_kernel(self, name, n, monkeypatch, caplog):
+        cfg = preset(name)
+        t_grid = np.linspace(0.0, 300 * cfg.dt, 301)
+        for kappa in (cfg.params.kappa, 0.0):
+            p = cfg.params.replace(g1=0.0, g2=0.0, n_cavities=n, kappa=kappa)
+            for model in ("effective", "full"):
+                for rep in ("mode", "site"):
+                    starts = [initial_state_atom_m(p, model, rep)] + [
+                        initial_state_photon_at_site(site, p, model, rep) for site in (0, 1, 5, n - 2)]
+                    for psi0 in starts:
+                        fast, path = _evolve_on("default", psi0, t_grid, p, monkeypatch, caplog)
+                        ref, _ = _evolve_on("dense", psi0, t_grid, p, monkeypatch, caplog)
+                        assert path == "eigenbasis"
+                        _assert_close(fast, ref)
+
+    def test_guard_failure_runs_dense_kernel(self, monkeypatch, caplog):
+        cfg = preset("fig4")
+        p = cfg.params.replace(g1=0.0, g2=0.0)
+        psi0 = initial_state_atom_m(p, "full")
+        t_grid = np.linspace(0.0, 300 * cfg.dt, 301)
+        ref, _ = _evolve_on("dense", psi0, t_grid, p, monkeypatch, caplog)
+        monkeypatch.setattr(dynamics, "SUM_RULE_TOL", 0.0)
+        series, path = _evolve_on("default", psi0, t_grid, p, monkeypatch, caplog)
+        assert path.startswith("dense (sum rules off by ")
+        assert "RK4 steps; matrix " in caplog.records[-1].getMessage()
+        _assert_close(series, ref, tol=0.0, norm_tol=0.0)
+
+    def test_kappa_positive_raises_before_propagating(self, monkeypatch):
+        # The full model at g = 0 checks its atom eigenvalues and every mode level at kappa > 0 too.
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
+        p = preset("fig4").params.replace(g1=0.0, g2=0.0)
+        message = r"^RK4 step dt = 0\.5 \(n_sub = 4\) grows norm\^2 by up to "
+        with pytest.raises(StepSizeTooLarge, match=message):
+            evolve(initial_state_atom_m(p, "full"), np.linspace(0, 20, 11), p)
 
 
 class TestStepSizeTooLarge:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbsim import dynamics, lindblad
+from qbsim import _kernels, dynamics, lindblad
 from qbsim.dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
 from qbsim.errors import StepSizeTooLarge, TraceDrift
 from qbsim.lindblad import initial_density_matrix, lindblad_evolve, population_report
@@ -102,7 +102,9 @@ def test_bad_time_grid_rejected(small_params, propagate, t_grid, message):
 
 def test_non_finite_trace_names_the_step(small_params, monkeypatch):
     # STEP_FACTOR = 5 makes each RK4 step 250 times too long: rho overflows to NaN.
+    # The check before propagating catches this step; switched off, the check after must.
     monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+    monkeypatch.setattr(_kernels, "NORM_GROWTH_TOL", np.inf)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the overflow must not leak out
@@ -112,10 +114,59 @@ def test_non_finite_trace_names_the_step(small_params, monkeypatch):
 
 def test_trace_drift_names_the_step(small_params, monkeypatch):
     # STEP_FACTOR = 1 makes each RK4 step 50 times too long: rho grows but stays finite.
+    # The check before propagating catches this step; switched off, the check after must.
     monkeypatch.setattr(dynamics, "STEP_FACTOR", 1.0)
+    monkeypatch.setattr(_kernels, "NORM_GROWTH_TOL", np.inf)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
     with pytest.raises(TraceDrift, match=r"reached .* with RK4 step dt = 0\.1, n_sub = 5$"):
         lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 5, 11), small_params)
+
+
+@pytest.mark.parametrize("kappa_zero", [False, True], ids=["kappa", "kappa0"])
+@pytest.mark.parametrize("step_factor, t_max, dt, n_sub", [(5.0, 200.0, "0.5882", 34), (1.0, 5.0, "0.1", 5)])
+def test_long_step_raises_before_propagating(small_params, monkeypatch, step_factor, t_max, dt, n_sub,
+                                             kappa_zero):
+    # The two steps above, now stopped before the first step: neither propagation stage may run.
+    # At kappa = 0 tr rho stays exactly 1 while rho grows, so no check after propagating sees it.
+    p = small_params.replace(kappa=0.0) if kappa_zero else small_params
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", step_factor)
+    monkeypatch.setattr(_kernels, "_lindblad_eigenbasis", None)
+    monkeypatch.setattr(_kernels, "_lindblad_horner", None)
+    psi0 = initial_state_photon_at_site(0, p, "full", "site")
+    with pytest.raises(StepSizeTooLarge, match=rf"^RK4 step dt = {dt} \(n_sub = {n_sub}, kappa = "):
+        lindblad_evolve(initial_density_matrix(psi0, p), np.linspace(0, t_max, 11), p)
+
+
+def _fast_decay(params):
+    """Atom start, no array coupling, e and d degenerate: rho_dd decays at kappa = 170.034."""
+    p = params.replace(g1=0.0, g2=0.0, delta_e=params.omega_d_real, omega_e_level=params.omega_d_real,
+                       kappa=170.034)
+    return initial_density_matrix(initial_state_atom_m(p, "full"), p), p
+
+
+def test_fast_decay_raises_before_propagating(small_params, monkeypatch):
+    # dt kappa = 3.4 > 2.785: RK4 is unstable on rho_dd, which used to surface only as
+    # TraceDrift at 3.4e9 after the run.
+    rho0, p = _fast_decay(small_params)
+    monkeypatch.setattr(_kernels, "_lindblad_eigenbasis", None)
+    monkeypatch.setattr(_kernels, "_lindblad_horner", None)
+    message = (r"^RK4 step dt = 0\.02 \(n_sub = 5, kappa = 170\.034\) grows \|y_ab\|\^2 by up to "
+               r"2\.99\de\+00 per step, above NORM_GROWTH_TOL = 1e-06$")
+    with pytest.raises(StepSizeTooLarge, match=message):
+        lindblad_evolve(rho0, np.linspace(0, 2, 21), p)
+
+
+def test_fast_decay_stable_step_unchanged_by_the_check(small_params, monkeypatch):
+    # With dt = 0.002 the step is stable, and the check leaves every output bit unchanged.
+    rho0, p = _fast_decay(small_params)
+    t_grid = np.linspace(0, 2, 201)
+    checked = lindblad_evolve(rho0, t_grid, p)
+    monkeypatch.setattr(_kernels, "NORM_GROWTH_TOL", np.inf)
+    unchecked = lindblad_evolve(rho0, t_grid, p)
+    assert abs(checked.norm2[-1] - 1.0) <= 1e-15
+    for a, b in ((checked.p_dark, unchecked.p_dark), (checked.norm2, unchecked.norm2),
+                 (checked.final_rho.rho, unchecked.final_rho.rho)):
+        assert np.array_equal(a, b)
 
 
 def test_debug_log_names_the_steps(small_params, caplog):

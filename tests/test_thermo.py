@@ -118,6 +118,15 @@ class TestReduceBattery:
         # no coherence between the ground block and the excited block
         assert np.max(np.abs(rho.rho[0, 1:])) < 1e-14
 
+    def test_rejects_non_finite_state(self):
+        # A NaN d amplitude used to give trace NaN, and ergotropy then failed inside eigh.
+        p = preset("fig5").params
+        for bad in (np.nan, np.inf):
+            psi = initial_state_photon_at_site(1, p, "full", "site")
+            psi.atom[0] = bad
+            with pytest.raises(NotNormalizable, match="atom amplitudes are not finite"):
+                reduce_battery(psi, p)
+
 
 class TestPassiveAndErgotropy:
     def test_passive_state_unchanged(self, charger_params):
