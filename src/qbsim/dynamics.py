@@ -60,11 +60,11 @@ StepSizeTooLarge is raised before propagating if one RK4 step grows the
 norm^2 of an eigencomponent by more than NORM_GROWTH_TOL: the factor is
 |P(-i dt lambda)|^2 = 1 - y^6/72 + y^8/576, y = dt lambda (Hairer &
 Wanner, Solving ODEs II, IV.2), and a state's one-step ratio is its
-weighted mean.  The eigenbasis paths read it at every kappa from the
-roots and the odd levels, or at g = 0 from the atom eigenvalues and every
-mode level; the dense path, at kappa = 0 only, from
-``eigvalsh`` of the shifted even H (E1's rounding-level imaginary part is
-ignored).  After propagating, at every kappa, it is raised if norm^2 rises
+weighted mean.  Every path reads it at every kappa, with the levels of
+the free amplitudes: the eigenbasis paths from the roots and the odd
+levels, or at g = 0 from the atom eigenvalues and every mode level; the
+dense path from ``eigvals`` of the shifted even H and the odd levels.
+After propagating, at every kappa, it is raised if norm^2 rises
 above its start by more than NORM_GROWTH_TOL or is not finite.  Each call
 logs its model, representation, dims, n_sub, dt, step count, the time
 spent on the roots (or the matrix) and on propagating, and the path to
@@ -387,9 +387,8 @@ def evolve(
     either representation.  The effective model runs in the eigenbasis of
     its even H, and either model at g = 0 in that of its atom block,
     unless a guard fails (module docstring).  Raises StepSizeTooLarge as
-    the module docstring says: before propagating on the eigenbasis paths
-    and, on the dense path, at kappa = 0; and if the norm grows or stops
-    being finite.
+    the module docstring says: before propagating, on every path, and if
+    the norm grows or stops being finite.
     """
     t_grid, dt_grid = check_time_grid(t_grid)
 
@@ -413,21 +412,19 @@ def evolve(
     elif psi0.model == "effective":
         basis, path = _even_eigenbasis(params, complex(atom_block[0, 0]), coupling[0].real,
                                        even_levels.real - params.omega0, centroid, psi_init)
-    if basis is not None:
-        lam, vecs, res = basis
-        _check_step(np.r_[lam, free_shift], dt, n_sub)
-        build_s = time.perf_counter() - t0
-        atom_amps, norm2, psi_final = _eigenbasis_samples(lam, vecs, res, dt, n_sub, nt, na)
-    else:
+    if basis is None:
         h = assemble_hamiltonian(params, atom_block, coupling, even_levels)
         h.flat[:: h.shape[0] + 1] -= centroid
-        if params.kappa == 0.0:
-            # The even diagonal holds every odd level (omega_k = omega_-k), max|lambda|
-            # >= max|h_ii|, and |P(iy)|^2 > 1 only for |y| > 2 sqrt(2), increasing there:
-            # no odd mode grows unless an even eigencomponent grows at least as fast.
-            _check_step(np.linalg.eigvalsh(h), dt, n_sub)
+        lam = np.linalg.eigvals(h)
+    else:
+        lam, vecs, res = basis
+    _check_step(np.r_[lam, free_shift], dt, n_sub)
+    if basis is None:
         atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
             h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
+    else:
+        build_s = time.perf_counter() - t0
+        atom_amps, norm2, psi_final = _eigenbasis_samples(lam, vecs, res, dt, n_sub, nt, na)
     free_factor = _kernels.rk4_factor(-1j * dt * free_shift) ** n_sub
     norm2 = norm2 + _odd_norm2(free, free_factor, nt)
     logger.debug(

@@ -50,8 +50,8 @@ class NoConvergence(QbsimError):
 
 
 class StepSizeTooLarge(QbsimError):
-    """RK4 norm^2 grows beyond tolerance: per step of an eigencomponent at kappa = 0
-    (found before propagating), or over the trajectory, or to a non-finite value."""
+    """RK4 norm^2 grows beyond tolerance: per step of an eigencomponent (found before
+    propagating, at every kappa), or over the trajectory, or to a non-finite value."""
 
 
 class IndexOutOfRange(QbsimError):

@@ -16,15 +16,15 @@ The RK4 runs in the eigenbasis of H_eff = H - i kappa/2 P_d, where each
 step is a scalar per element plus the sink's gain: the same steps as the
 step-by-step loop at O(dim^2) per sample (see ``qbsim._kernels``).  Only
 when cond(V) of that basis exceeds ``_kernels.EIGENBASIS_MAX_COND`` (near
-an exceptional point of H_eff) does the kernel run four Horner stages
-per step instead.  On either path the kernel checks, from H_eff's
+an exceptional point of H_eff) does the kernel run four dense Horner
+stages per step instead.  On either path the kernel first checks that
+the sink's row and column of H are zero (ValueError), then, from H_eff's
 eigenvalues and before the first step, that no element of rho in that
 basis grows per step by more than ``NORM_GROWTH_TOL``; ``step_rule``
 ignores kappa, and RK4 is stable on rho_dd only while dt kappa <= 2.785.
-``lindblad_evolve`` logs each call's dim,
-n_sub, dt, step count, trace drift, propagation time and kernel path
-(eigenbasis with its cond(V), or Horner stages) to ``qbsim.lindblad`` at
-DEBUG.
+``lindblad_evolve`` logs each call's dim, n_sub, dt, step count, trace
+drift, propagation time and kernel path (eigenbasis with its cond(V), or
+Horner stages) to ``qbsim.lindblad`` at DEBUG.
 """
 
 from __future__ import annotations

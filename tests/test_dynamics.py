@@ -342,6 +342,16 @@ class TestStepSizeTooLarge:
             evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
                    np.linspace(0, 20, 11), fig3a_params)
 
+    def test_full_model_kappa_positive_raises_before_propagating(self, fig3a_params, monkeypatch):
+        # The full model at g != 0 runs on the dense kernel, which reads its eigenvalues at every kappa.
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        assert fig3a_params.g != 0.0 and fig3a_params.kappa > 0.0
+        message = r"^RK4 step dt = 0\.5 \(n_sub = 4\) grows norm\^2 by up to "
+        with pytest.raises(StepSizeTooLarge, match=message):
+            evolve(initial_state_photon_at_site(0, fig3a_params, "full", "site"),
+                   np.linspace(0, 20, 11), fig3a_params)
+
     def test_kappa_positive(self, fig3a_params, monkeypatch):
         monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
         with pytest.raises(StepSizeTooLarge):

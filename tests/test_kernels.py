@@ -9,7 +9,7 @@ rounding.
 
 ``_reference_rk4_lindblad`` is the dense k1..k4 master-equation loop,
 re-Hermitized after every step.  The kernel applies the same polynomial
-in dt*L, as four Horner stages or in the eigenbasis of H_eff, so the
+in dt*L, as four dense Horner stages or in the eigenbasis of H_eff, so the
 samples agree up to rounding too.
 """
 
@@ -162,13 +162,19 @@ def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub,
     return rho_out, tr_out
 
 
-def _reference_lindblad_evolve(rho0, t_grid, params):
-    """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, through the loop."""
+def _shifted_lindblad_hamiltonian(params, t_grid):
+    """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, with its dt and n_sub."""
     t_grid, dt_grid = check_time_grid(t_grid)
     h = _full_hermitian_hamiltonian(params)
     centroid, n_sub, dt = step_rule(np.diag(h).real[D_IDX:], dt_grid)
     h_shift = h - centroid * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
+    return h_shift, dt, n_sub
+
+
+def _reference_lindblad_evolve(rho0, t_grid, params):
+    """``_shifted_lindblad_hamiltonian`` through the loop."""
+    h_shift, dt, n_sub = _shifted_lindblad_hamiltonian(params, t_grid)
     return _reference_rk4_lindblad(h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
 
 
@@ -216,11 +222,47 @@ def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params,
 
 
 def test_horner_stages_reject_a_matrix_that_is_not_ring_and_atom(fig3a_params, monkeypatch):
-    # The stages apply H_eff piece by piece, so any other entry must be refused, not dropped.
+    # The eigenbasis drops the sink's row and column, so an entry there must be refused on
+    # both paths, before any work; this is the Horner path's case.
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    monkeypatch.setattr(_kernels, "_sink_padded_eig", None)
     p = fig3a_params.replace(n_cavities=21)
     h = _full_hermitian_hamiltonian(p).real
-    h[D_IDX + 3 + 5, D_IDX + 3 + 9] = h[D_IDX + 3 + 9, D_IDX + 3 + 5] = -0.1  # a hop across the ring
+    h[SINK, D_IDX] = h[D_IDX, SINK] = 5.0
     rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p).rho
-    with pytest.raises(ValueError, match="uniform ring"):
+    with pytest.raises(ValueError, match=r"sink row and column \(index 0\) must be zero"):
         _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, 0.01, 1, 3)
+
+
+@pytest.mark.parametrize("entry", ["row", "column"])
+def test_eigenbasis_rejects_an_entry_in_the_sink_row_or_column(fig3a_params, monkeypatch, entry):
+    # Unchecked, this entry would be dropped: the output was byte-identical to the unmodified h's.
+    monkeypatch.setattr(_kernels, "_sink_padded_eig", None)
+    p = fig3a_params.replace(n_cavities=21)
+    h, dt, n_sub = _shifted_lindblad_hamiltonian(p, np.linspace(0.0, 2.0, 21))
+    h[(SINK, D_IDX) if entry == "row" else (D_IDX, SINK)] = 5.0
+    rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
+    with pytest.raises(ValueError, match=r"sink row and column \(index 0\) must be zero"):
+        _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub, 21)
+
+
+def test_horner_stages_honour_a_hop_across_the_ring(fig3a_params, monkeypatch):
+    # The stages apply H_eff as one dense matrix, so an entry outside the ring and the atom
+    # block is propagated like any other.
+    monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    p = fig3a_params.replace(n_cavities=21)
+    t_grid = np.linspace(0.0, 2.0, 21)
+    ring, dt, n_sub = _shifted_lindblad_hamiltonian(p, t_grid)
+    h = ring.copy()
+    h[D_IDX + 3 + 5, D_IDX + 3 + 9] = h[D_IDX + 3 + 9, D_IDX + 3 + 5] = -0.1
+    rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
+    block, traces, rho_final, cond_v = _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub,
+                                                             len(t_grid))
+    rho_ref, tr_ref = _reference_rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub, len(t_grid))
+    assert cond_v is None
+    assert np.max(np.abs(block - rho_ref[:, D_IDX:D_IDX + 3, D_IDX:D_IDX + 3])) <= 1e-12
+    assert np.max(np.abs(traces - tr_ref)) <= 1e-12
+    assert np.max(np.abs(rho_final - rho_ref[-1])) <= 1e-12
+    # The hop moves rho by far more than that bound (1.4e-2), so it was not dropped.
+    without = _kernels.rk4_lindblad(ring, p.kappa, D_IDX, SINK, rho0, dt, n_sub, len(t_grid))[2]
+    assert np.max(np.abs(rho_final - without)) > 1e-3
