@@ -34,7 +34,7 @@ class DecayFit:
 def envelope_peaks(times, values, t_min: float = 0.0):
     """Strict 3-point local maxima with t >= t_min, on the raw grid.
 
-    No smoothing: deterministic at the RK4 sampling density.  Raises
+    No smoothing: deterministic at the sampling density.  Raises
     TooFewPeaks when fewer than four qualify.
     """
     t = np.asarray(times, dtype=float)

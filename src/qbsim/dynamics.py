@@ -6,17 +6,17 @@ cavity vacuum plus the photon amplitudes, with the bright states and their
 fast decay retained.  Both use the non-Hermitian atom energy
 omega_d_real - i*kappa/2, so at kappa > 0 the norm leaks monotonically.
 
-Propagation is fixed-step RK4 with step <= 0.02 / max|diag| after removing
-the energy centroid: a uniform diagonal shift only changes the global
-phase, never |amplitudes|, and keeps the step criterion tied to physical
-frequency spreads instead of the absolute energy offset.
+Every path propagates by exponentials: exactly on the paths that hold an
+eigenbasis, and as a degree-12 Taylor polynomial on the dense kernel.  H
+is first shifted by the centroid of its diagonal: a uniform shift only
+changes the global phase, never |amplitudes|, and keeps ||H|| small.
 
 ``evolve`` propagates only the parity-even sector.  H is symmetric under
 the reflection j -> -j (mod N) about the atom's cavity, so the atom couples
 only to k = 0 and (|k> + |-k>)/sqrt(2); the (N-1)/2 odd states
 (|k> - |-k>)/sqrt(2) never reach it and are eigenstates of H, so each odd
-amplitude advances in closed form by the scalar RK4 factor
-P(-i dt (omega_k - centroid))^n_sub per sample.  Site-space states are
+amplitude advances by exp(-i (omega_k - centroid) t).  Their levels are
+real, so their norm^2 stays what it was at t = 0.  Site-space states are
 propagated in the mode basis; ``norm2`` and ``final_state`` describe the
 full state.
 
@@ -24,51 +24,52 @@ The effective model's even H is an arrowhead matrix: E1 coupled by real
 c_k to the (N+1)/2 distinct mode energies.  Its eigenvalues lambda_j are
 ``spectral.even_sector_roots``, its eigenvectors v_j = (1, c_k/(lambda_j -
 omega_k)), and psi0 = sum_j r_j v_j with r_j = v_j^T psi0 / v_j^T v_j (H is
-complex symmetric, so v_j^T are the left eigenvectors).  One RK4 step
-scales the component along v_j exactly by P(-i dt (lambda_j - centroid)),
-so sample i is psi = V (r o G^i), G_j = P(-i dt (lambda_j - centroid))^n_sub:
-the same dt, n_sub and polynomial as the dense kernel, to rounding, with
-u = sum_j r_j G_j^i.  The G^i come from cumulative products of G in blocks
-of about 2^14/dim samples, so the extra working set is O(block dim), not
-O(nt dim).  norm2 stays O(dim^2) per sample: at kappa > 0 the v_j are not
-orthogonal (H is not normal), so |psi|^2 needs all of V (r o G^i), one
-matrix product per block.  At weak coupling lambda_j - omega_k of the
-nearest mode keeps only the roots' absolute digits, so that distance is
-taken from the secular equation as a quadratic in it.
+complex symmetric, so v_j^T are the left eigenvectors).  Sample i is then
+psi = V (r o G^i), G_j = exp(-i Delta (lambda_j - centroid)) for the grid
+spacing Delta, with u = sum_j r_j G_j^i.  The G^i come from cumulative
+products of G in blocks of about 2^14/dim samples, so the extra working
+set is O(block dim), not O(nt dim).  norm2 stays O(dim^2) per sample: at
+kappa > 0 the v_j are not orthogonal (H is not normal), so |psi|^2 needs
+all of V (r o G^i), one matrix product per block.  At weak coupling
+lambda_j - omega_k of the nearest mode keeps only the roots' absolute
+digits, so that distance is taken from the secular equation as a
+quadratic in it.
 
 At g = 0, in either model, the atom couples to no mode.  Its na x na
 block alone (E1, or the full model's (d, e, m) block), shifted by the
 centroid, is diagonalised by ``np.linalg.eig`` as W diag(lambda) W^-1, and
 psi_atom = W r runs through the same sample stage; every mode, even and
-odd, advances by its own factor, as the odd modes do at g != 0.
+odd, advances by its own exponential, as the odd modes do at g != 0.
 
 The eigenbasis paths fall back to the dense kernel, and the DEBUG line
 says which guard failed, when the root search fails to converge (the
 phase equation's arctan crosses its branch cut when |Im E1| >> g^2/xi),
-when two roots lie within MIN_ROOT_GAP xi (near an exceptional point), or
-when the sum rules, the atom rows of psi0 = V r and of (H - centroid) psi0
-= V (lambda o r), miss by more than SUM_RULE_TOL |psi0| (the second over
-max|lambda|).  The full model at g != 0 runs on the dense kernel, which
-stays the tests' reference.
+when two roots, of any pair, lie within MIN_ROOT_GAP xi (near an
+exceptional point, or a root returned twice), or when the sum rules, the
+atom rows of psi0 = V r and of (H - centroid) psi0 = V (lambda o r), miss
+by more than SUM_RULE_TOL |psi0| (the second over max|lambda|).  The full
+model at g != 0 runs on the dense kernel, which stays the tests'
+reference.
 
 The dense kernel, ``_kernels.rk4_schrodinger``, takes the na + (N+1)/2
 even states as the dense, shifted H of the ``even`` blocks: one
-precomputed matrix P(-i dt H)^n_sub (``np.linalg.matrix_power``) per
-sample at every kappa, in O(dim^2) memory.
+precomputed matrix T(-i dt H)^n_sub per sample at every kappa, with
+n_sub from ``step_rule``, in O(dim^2) memory.
 
-StepSizeTooLarge is raised before propagating if one RK4 step grows the
-norm^2 of an eigencomponent by more than NORM_GROWTH_TOL: the factor is
-|P(-i dt lambda)|^2 = 1 - y^6/72 + y^8/576, y = dt lambda (Hairer &
-Wanner, Solving ODEs II, IV.2), and a state's one-step ratio is its
-weighted mean.  Every path reads it at every kappa, with the levels of
-the free amplitudes: the eigenbasis paths from the roots and the odd
-levels, or at g = 0 from the atom eigenvalues and every mode level; the
-dense path from ``eigvals`` of the shifted even H and the odd levels.
-After propagating, at every kappa, it is raised if norm^2 rises
-above its start by more than NORM_GROWTH_TOL or is not finite.  Each call
-logs its model, representation, dims, n_sub, dt, step count, the time
-spent on the roots (or the matrix) and on propagating, and the path to
-the ``qbsim.dynamics`` logger at DEBUG level.
+StepSizeTooLarge (named after the RK4 step it used to guard) is raised
+before propagating if the atom block A has gain.  The mode levels and
+the couplings are real, so d|psi|^2/dt <= 2 r |psi|^2, where r is the
+largest eigenvalue of the Hermitian part of -i A: Im E1 for the
+effective model, 0 for the full model, whose d level only decays.  It is
+raised if exp(2 r t_end) - 1 exceeds NORM_GROWTH_TOL.  Without gain every
+exponential factor has |G| <= 1, and the dense kernel's step is bounded as
+``_kernels`` shows, so no eigenvalue of H is needed.  After propagating,
+at every kappa, it is raised if norm^2 rises above its start by more than
+NORM_GROWTH_TOL or is not finite.  Each call logs its model,
+representation and dims, the grid spacing (on the dense kernel n_sub, dt
+and the step count), the time spent on the roots, on the matrix (its
+assembly and build) and on propagating, and the path to the
+``qbsim.dynamics`` logger at DEBUG level.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, spectral
-from ._kernels import NORM_GROWTH_TOL
 from .errors import IndexOutOfRange, NoConvergence, OutOfRange, StepSizeTooLarge
 from .model import assemble_hamiltonian, dark_state_vector, hamiltonian_blocks
 from .params import SystemParams
@@ -99,8 +99,10 @@ __all__ = [
     "STEP_FACTOR",
 ]
 
-#: dt <= STEP_FACTOR / max|diag - centroid|
-STEP_FACTOR = 0.02
+#: ||dt A||_1 <= STEP_FACTOR for the generator A that a dense kernel exponentiates
+STEP_FACTOR = 0.25
+#: Allowed norm^2 growth over a trajectory, and the gain bound checked before it.
+NORM_GROWTH_TOL = 1e-6
 
 #: Eigenbasis guards: the smallest gap between roots, over xi, and the
 #: sum-rule residuals, over |psi| (module docstring).
@@ -122,25 +124,6 @@ def _join_parity(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Inverse of ``_split_parity``."""
     pos, neg = (even[1:] + odd) / math.sqrt(2.0), (even[1:] - odd) / math.sqrt(2.0)
     return np.concatenate([neg[::-1], even[:1], pos])
-
-
-def _odd_norm2(odd: np.ndarray, factor: np.ndarray, n_samples: int) -> np.ndarray:
-    """sum_k |odd_k factor_k^i|^2 for i < n_samples, in blocks of samples so memory stays O(N).
-
-    ``odd`` holds the amplitudes that advance by their own factors: the odd
-    modes, and at g = 0 every mode.  Exact zeros add exact zeros, so they are skipped.
-    """
-    live = odd != 0.0
-    if not live.any():
-        return np.zeros(n_samples)
-    log_decay = np.log(np.abs(factor[live]) ** 2)
-    weights = np.abs(odd[live]) ** 2
-    out = np.empty(n_samples)
-    block = max(1, (1 << 16) // len(weights))
-    for start in range(0, n_samples, block):
-        i = np.arange(start, min(start + block, n_samples))
-        out[start:start + len(i)] = np.exp(np.outer(i, log_decay)) @ weights
-    return out
 
 
 @dataclass
@@ -259,25 +242,14 @@ def check_time_grid(t_grid) -> tuple[np.ndarray, float]:
     return t_grid, float(dt_grid[0])
 
 
-def step_rule(diag: np.ndarray, dt_grid: float) -> tuple[float, int, float]:
-    """Centroid, substeps n_sub and RK4 step dt for the grid spacing ``dt_grid``.
+def step_rule(a_norm: float, dt_grid: float) -> tuple[int, float]:
+    """Substeps n_sub and step dt = dt_grid/n_sub of a dense kernel, for the grid spacing ``dt_grid``.
 
-    dt is the largest step <= STEP_FACTOR/max|diag - centroid| dividing dt_grid.
+    ``a_norm`` is ||A||_1, or a bound on it, of the generator A that the
+    kernel exponentiates; n_sub is the fewest with dt a_norm <= STEP_FACTOR.
     """
-    centroid = 0.5 * (diag.max() + diag.min())
-    spread = max(np.max(np.abs(diag - centroid)), 1e-30)
-    dt_max = STEP_FACTOR / spread
-    n_sub = max(1, int(math.ceil(dt_grid / dt_max - 1e-12)))
-    return centroid, n_sub, dt_grid / n_sub
-
-
-def _check_step(lam: np.ndarray, dt: float, n_sub: int) -> None:
-    """Raise StepSizeTooLarge if one RK4 step grows the norm^2 of an eigencomponent beyond tolerance."""
-    growth = np.max(np.abs(_kernels.rk4_factor(-1j * dt * lam)) ** 2) - 1.0
-    if growth > NORM_GROWTH_TOL:
-        raise StepSizeTooLarge(
-            f"RK4 step dt = {dt:.4g} (n_sub = {n_sub}) grows norm^2 by up to {growth:.3e} "
-            f"per step, above NORM_GROWTH_TOL = {NORM_GROWTH_TOL:g}")
+    n_sub = max(1, math.ceil(dt_grid * a_norm / STEP_FACTOR - 1e-12))
+    return n_sub, dt_grid / n_sub
 
 
 def _even_eigenbasis(params: SystemParams, e1: complex, coupling: np.ndarray, levels: np.ndarray,
@@ -294,7 +266,9 @@ def _even_eigenbasis(params: SystemParams, e1: complex, coupling: np.ndarray, le
         lam = spectral.even_sector_roots(params, e1)
     except NoConvergence as exc:
         return None, f"dense ({exc})"
-    gap = np.min(np.abs(np.diff(lam)))
+    gap = np.abs(lam[:, None] - lam)  # every pair: a repeated root need not be a neighbour
+    np.fill_diagonal(gap, np.inf)
+    gap = gap.min()
     if not gap > MIN_ROOT_GAP * params.xi:
         return None, f"dense (roots {gap:.3g} apart)"
     dist = lam - levels[:, None]  # lambda_j - omega_k
@@ -345,9 +319,9 @@ def _atom_eigenbasis(atom_block: np.ndarray, centroid: float, psi: np.ndarray, m
     return (lam, vecs, res), "eigenbasis"
 
 
-def _eigenbasis_samples(lam: np.ndarray, vecs: np.ndarray, res: np.ndarray, dt: float, n_sub: int,
-                        n_samples: int, na: int):
-    """Samples i < n_samples of psi = V (r o G^i), G = P(-i dt lambda)^n_sub, as ``rk4_schrodinger``.
+def _eigenbasis_samples(lam: np.ndarray, vecs: np.ndarray, res: np.ndarray, delta: float, n_samples: int,
+                        na: int):
+    """Samples i < n_samples of psi = V (r o G^i), G = exp(-i delta lambda), on a grid of spacing ``delta``.
 
     The coefficients come from cumulative products of G in blocks of about
     2^14/dim samples, so the working set stays O(dim) per sample of a block.
@@ -355,7 +329,7 @@ def _eigenbasis_samples(lam: np.ndarray, vecs: np.ndarray, res: np.ndarray, dt: 
     amplitudes of psi as the atom samples.
     """
     dim = len(lam)
-    step = _kernels.rk4_factor(-1j * dt * lam) ** n_sub
+    step = np.exp(-1j * delta * lam)
     block = max(1, (1 << 14) // dim)
     coef = np.empty((min(block, n_samples), dim), dtype=complex)
     atom_out = np.empty((n_samples, na), dtype=complex)
@@ -382,12 +356,12 @@ def evolve(
 ) -> TimeSeries:
     """Integrate i dpsi/dt = H psi and record P_E1(t) on ``t_grid``.
 
-    ``t_grid`` must be a uniform, increasing grid starting at 0.  The RK4
-    substep follows ``step_rule`` over the diagonal of the even-sector H in
-    either representation.  The effective model runs in the eigenbasis of
-    its even H, and either model at g = 0 in that of its atom block,
-    unless a guard fails (module docstring).  Raises StepSizeTooLarge as
-    the module docstring says: before propagating, on every path, and if
+    ``t_grid`` must be a uniform, increasing grid starting at 0.  The
+    effective model runs in the eigenbasis of its even H, and either model
+    at g = 0 in that of its atom block, exactly on the grid, unless a guard
+    fails; otherwise the dense kernel takes ``step_rule``'s substeps
+    (module docstring).  Raises StepSizeTooLarge as the module docstring
+    says: before propagating if the atom block has gain, and after it if
     the norm grows or stops being finite.
     """
     t_grid, dt_grid = check_time_grid(t_grid)
@@ -395,8 +369,15 @@ def evolve(
     psi_mode = psi0.to_representation("mode", params)
     even0, odd0 = _split_parity(psi_mode.photon)
     atom_block, coupling, even_levels = hamiltonian_blocks(params, psi0.model, "even", e1)
-    centroid, n_sub, dt = step_rule(np.r_[np.diag(atom_block).real, even_levels.real], dt_grid)
-    # Amplitudes that couple to nothing advance by their own factors: the odd
+    # The mode levels and couplings are real: only the atom block can add norm (module docstring).
+    gain = 2.0 * np.linalg.eigvalsh(0.5j * (atom_block.conj().T - atom_block)).max() * t_grid[-1]
+    if gain > math.log1p(NORM_GROWTH_TOL):
+        raise StepSizeTooLarge(
+            f"the atom block has gain: norm^2 may grow by a factor exp({gain:.4g}) by t = {t_grid[-1]:.4g}, "
+            f"above 1 + NORM_GROWTH_TOL = 1 + {NORM_GROWTH_TOL:g}")
+    levels = np.r_[np.diag(atom_block).real, even_levels.real]
+    centroid = 0.5 * (levels.max() + levels.min())
+    # Amplitudes that couple to nothing advance by their own exponentials: the odd
     # modes, and at g = 0 the even modes too.
     free, free_shift = odd0, even_levels[1:].real - centroid
     na, nt = len(psi0.atom), len(t_grid)
@@ -412,29 +393,26 @@ def evolve(
     elif psi0.model == "effective":
         basis, path = _even_eigenbasis(params, complex(atom_block[0, 0]), coupling[0].real,
                                        even_levels.real - params.omega0, centroid, psi_init)
+    t_roots = time.perf_counter()
+    stages = [] if path == "dense (full model)" else [f"roots {t_roots - t0:.4f} s"]
     if basis is None:
         h = assemble_hamiltonian(params, atom_block, coupling, even_levels)
         h.flat[:: h.shape[0] + 1] -= centroid
-        lam = np.linalg.eigvals(h)
-    else:
-        lam, vecs, res = basis
-    _check_step(np.r_[lam, free_shift], dt, n_sub)
-    if basis is None:
+        n_sub, dt = step_rule(np.linalg.norm(h, 1), dt_grid)
+        t_matrix = time.perf_counter()
         atom_amps, norm2, psi_final, build_s = _kernels.rk4_schrodinger(
             h, na, psi_init, dt, n_sub=n_sub, n_samples=nt)
+        stages.append(f"matrix {t_matrix - t_roots + build_s:.4f} s")
+        steps = f"n_sub {n_sub}, dt {dt:.4g}, {n_sub * (nt - 1)} Taylor steps"
     else:
-        build_s = time.perf_counter() - t0
-        atom_amps, norm2, psi_final = _eigenbasis_samples(lam, vecs, res, dt, n_sub, nt, na)
-    free_factor = _kernels.rk4_factor(-1j * dt * free_shift) ** n_sub
-    norm2 = norm2 + _odd_norm2(free, free_factor, nt)
-    logger.debug(
-        "evolve %s/%s: dim %d, n_sub %d, dt %.4g, %d RK4 steps; %s %.4f s, propagation %.4f s; %s; "
-        "even dim %d", psi0.model, psi0.representation, na + params.n_cavities, n_sub, dt,
-        n_sub * (nt - 1), "matrix" if basis is None else "roots", build_s,
-        time.perf_counter() - t0 - build_s, path, len(psi_init))
+        atom_amps, norm2, psi_final = _eigenbasis_samples(*basis, dt_grid, nt, na)
+        t_matrix, build_s, steps = t_roots, 0.0, f"exact steps of dt {dt_grid:.4g}"
+    stages.append(f"propagation {time.perf_counter() - t_matrix - build_s:.4f} s")
+    norm2 = norm2 + np.vdot(free, free).real
+    logger.debug("evolve %s/%s: dim %d, %s; %s; %s; even dim %d", psi0.model, psi0.representation,
+                 na + params.n_cavities, steps, ", ".join(stages), path, len(psi_init))
     if not np.all(np.isfinite(norm2)) or norm2.max() > norm2[0] * (1.0 + NORM_GROWTH_TOL):
-        raise StepSizeTooLarge(
-            f"norm^2 grew from {norm2[0]:.6g} to {norm2.max():.6g} with RK4 step dt = {dt:.4g}")
+        raise StepSizeTooLarge(f"norm^2 grew from {norm2[0]:.6g} to {norm2.max():.6g} ({steps})")
 
     if psi0.model == "effective":
         p_dark = np.abs(atom_amps[:, 0]) ** 2
@@ -442,7 +420,7 @@ def evolve(
         dark = dark_state_vector(params)
         p_dark = np.abs(atom_amps @ dark.conj()) ** 2
     # atom, even modes, odd modes: the propagated block first, then the free amplitudes
-    psi_final = np.concatenate([psi_final, free * free_factor ** (nt - 1)])
+    psi_final = np.concatenate([psi_final, free * np.exp(-1j * t_grid[-1] * free_shift)])
     photon = _join_parity(psi_final[na:na + len(even0)], psi_final[na + len(even0):])
     final = WaveFunction(psi_final[:na], photon, "mode", psi0.model).to_representation(
         psi0.representation, params)

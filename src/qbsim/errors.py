@@ -50,8 +50,9 @@ class NoConvergence(QbsimError):
 
 
 class StepSizeTooLarge(QbsimError):
-    """RK4 norm^2 grows beyond tolerance: per step of an eigencomponent (found before
-    propagating, at every kappa), or over the trajectory, or to a non-finite value."""
+    """norm^2 or tr rho grows beyond tolerance: from gain in the atom block (found before
+    propagating), or over the trajectory, or to a non-finite value.  The name is kept from
+    the RK4 step that it used to guard."""
 
 
 class IndexOutOfRange(QbsimError):

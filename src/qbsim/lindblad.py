@@ -10,21 +10,21 @@ dimension N + 4, with dissipation carried by the jump operator
 sqrt(kappa)|0,g><0,d|.  That channel is the minimal trace-preserving
 completion of the complex energy omega_d_real - i*kappa/2: the excited
 sector then obeys a closed equation identical to the non-Hermitian pure
-state, so P_E1(t) matches the Schrodinger result up to integrator error.
+state, so P_E1(t) matches the Schrodinger result up to propagator error.
 
-The RK4 runs in the eigenbasis of H_eff = H - i kappa/2 P_d, where each
-step is a scalar per element plus the sink's gain: the same steps as the
-step-by-step loop at O(dim^2) per sample (see ``qbsim._kernels``).  Only
-when cond(V) of that basis exceeds ``_kernels.EIGENBASIS_MAX_COND`` (near
-an exceptional point of H_eff) does the kernel run four dense Horner
-stages per step instead.  On either path the kernel first checks that
-the sink's row and column of H are zero (ValueError), then, from H_eff's
-eigenvalues and before the first step, that no element of rho in that
-basis grows per step by more than ``NORM_GROWTH_TOL``; ``step_rule``
-ignores kappa, and RK4 is stable on rho_dd only while dt kappa <= 2.785.
-``lindblad_evolve`` logs each call's dim, n_sub, dt, step count, trace
-drift, propagation time and kernel path (eigenbasis with its cond(V), or
-Horner stages) to ``qbsim.lindblad`` at DEBUG.
+The kernel propagates in the eigenbasis of H_eff = H - i kappa/2 P_d,
+where each element of rho advances over a grid interval by one exact
+exponential and the sink gains the decay in between, at O(dim^2) per
+sample (see ``qbsim._kernels``).  Only when cond(V) of that basis exceeds
+``_kernels.EIGENBASIS_MAX_COND`` (near an exceptional point of H_eff)
+does the kernel run dense Horner stages of a degree-12 Taylor step
+instead, with n_sub steps per interval from ``step_rule``.  On either path
+the kernel first checks that the sink's row and column of H are zero
+(ValueError).  kappa >= 0 and H is Hermitian, so rho has no gain: there
+is nothing to check before propagating.  ``lindblad_evolve`` logs each
+call's dim, the grid spacing (on the Horner stages n_sub, dt and the step
+count), trace drift, propagation time and kernel path (eigenbasis with
+its cond(V), or Horner stages) to ``qbsim.lindblad`` at DEBUG.
 """
 
 from __future__ import annotations
@@ -112,14 +112,13 @@ def lindblad_evolve(
 ) -> LindbladSeries:
     """Propagate drho/dt = -i[H, rho] + D[L]rho and record P_E1(t).
 
-    RK4 with the same step rule as the Schrodinger side (``step_rule``
-    over the coupled diagonal: the atom levels and omega0).  The result
-    holds the final state.  ``rho0`` must have dim N + 4 (ValueError).
-    Raises StepSizeTooLarge before propagating if one RK4 step would grow
-    an element of rho in H_eff's eigenbasis by more than NORM_GROWTH_TOL
-    (naming dt, n_sub and kappa); after it, StepSizeTooLarge if tr rho
-    stops being finite and TraceDrift if |tr rho - 1| exceeds 1e-6 at any
-    sample, both naming dt and n_sub.
+    Exact on the grid in H_eff's eigenbasis, or near an exceptional point
+    Horner stages with the same step rule as the Schrodinger side
+    (``step_rule``, on a bound of the generator's norm).  The result holds
+    the final state.  ``rho0`` must have dim N + 4 (ValueError).  After
+    propagating it raises StepSizeTooLarge if tr rho stops being finite
+    and TraceDrift if |tr rho - 1| exceeds 1e-6 at any sample, both naming
+    the steps.
     """
     dim = params.n_cavities + 4
     if rho0.rho.shape != (dim, dim):
@@ -129,28 +128,30 @@ def lindblad_evolve(
     h = _full_hermitian_hamiltonian(params)
     # The sink is fully decoupled (zero row and column), so its coherences
     # vanish identically and its diagonal energy is unobservable; parking it
-    # at the coupled-block centroid keeps the step rule tied to the physical
+    # at the coupled-block centroid keeps ||H|| tied to the physical
     # frequency spread.
-    centroid, n_sub, dt = step_rule(np.diag(h).real[D_IDX:], dt_grid)
-    h_shift = h - centroid * np.eye(h.shape[0])
+    levels = np.diag(h).real[D_IDX:]
+    h_shift = h - 0.5 * (levels.max() + levels.min()) * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
+    # ||L||_1 <= 2 ||H_eff||_1 + kappa <= 2 (||H||_1 + kappa) for the generator L of the Horner stages.
+    n_sub, dt = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
 
     t0 = time.perf_counter()
-    # An unstable step overflows rho; the trace checks below report it as a typed error.
+    # A non-finite rho0 spreads NaN through rho; the trace checks below report it as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         block, traces, rho_final, cond_v = _kernels.rk4_lindblad(
             h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
     drift = np.max(np.abs(traces - traces[0]))
+    steps = (f"n_sub {n_sub}, dt {dt:.4g}, {n_sub * (len(t_grid) - 1)} Taylor steps" if cond_v is None
+             else f"exact steps of dt {dt_grid:.4g}")
     logger.debug(
-        "lindblad_evolve jump_to_ground: dim %d, n_sub %d, dt %.4g, %d RK4 steps, trace drift %.3e; "
-        "propagation %.4f s; %s",
-        h.shape[0], n_sub, dt, n_sub * (len(t_grid) - 1), drift, time.perf_counter() - t0,
+        "lindblad_evolve jump_to_ground: dim %d, %s, trace drift %.3e; propagation %.4f s; %s",
+        h.shape[0], steps, drift, time.perf_counter() - t0,
         "Horner stages" if cond_v is None else f"eigenbasis, cond(V) {cond_v:.3g}")
-    step = f"RK4 step dt = {dt:.4g}, n_sub = {n_sub}"
     if not np.all(np.isfinite(traces)):
-        raise StepSizeTooLarge(f"tr rho became non-finite with {step}")
+        raise StepSizeTooLarge(f"tr rho became non-finite ({steps})")
     if drift > TRACE_TOL:
-        raise TraceDrift(f"|tr rho - 1| reached {drift:.3e} with {step}")
+        raise TraceDrift(f"|tr rho - 1| reached {drift:.3e} ({steps})")
 
     dark = dark_state_vector(params)
     p_dark = np.real(np.einsum("i,tij,j->t", dark.conj(), block, dark))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbsim import atom_eigensystem_exact, dynamics, effective_hamiltonian
+from qbsim import atom_eigensystem_exact, dynamics, effective_hamiltonian, spectral
 from qbsim.dynamics import (
     dark_population,
     evolve,
@@ -14,6 +14,7 @@ from qbsim.dynamics import (
 )
 from qbsim.presets import preset
 from qbsim.errors import IndexOutOfRange, OutOfRange, StepSizeTooLarge
+from conftest import random_params
 
 
 class TestInitialStates:
@@ -96,9 +97,17 @@ class TestEvolve:
                         np.linspace(0, 100, 2001), p)
         assert np.max(np.abs(series.norm2 - 1.0)) <= 1e-8
 
+    @pytest.mark.parametrize("model, bound", [("effective", 1e-12), ("full", 1e-8)])
+    def test_norm_drift_on_criterion_9_grid(self, fig3a_params, model, bound):
+        # Criterion 9's grid: the effective model's exact exponentials keep the norm to
+        # rounding, and the full model's dense kernel to its Taylor truncation and rounding.
+        p = fig3a_params.replace(kappa=0.0)
+        series = evolve(initial_state_photon_at_site(0, p, model, "site"), np.linspace(0, 100, 2001), p)
+        assert np.max(np.abs(series.norm2 - 1.0)) <= bound
+
     @pytest.mark.parametrize("representation", ["mode", "site"])
     def test_norm2_counts_the_odd_sector(self, fig3a_params, representation):
-        # About half of a photon at site 5 is parity-odd, advanced outside the RK4 kernel.
+        # About half of a photon at site 5 is parity-odd, advanced outside the propagated block.
         p = fig3a_params.replace(kappa=0.0)
         series = evolve(initial_state_photon_at_site(5, p, "effective", representation),
                         np.linspace(0, 20, 201), p)
@@ -142,9 +151,10 @@ class TestEvolve:
                np.linspace(0, 1, 11), fig3a_params)
         (record,) = caplog.records
         assert record.name == "qbsim.dynamics"
+        # The full model runs on the dense kernel: no roots, and the matrix build as its own stage.
         assert record.getMessage().startswith("evolve full/site: dim 256, n_sub ")
-        assert "RK4 steps; matrix " in record.getMessage()
-        assert record.getMessage().endswith("; even dim 130")
+        assert " Taylor steps; matrix " in record.getMessage() and "roots" not in record.getMessage()
+        assert record.getMessage().endswith(" s; dense (full model); even dim 130")
 
 
 def _evolve_on(path, psi0, t_grid, params, monkeypatch, caplog):
@@ -230,6 +240,19 @@ class TestEigenbasisPath:
             else:
                 assert path.startswith("dense (root search failed in region 'in_band'")
 
+    def test_repeated_root_that_is_not_a_neighbour_falls_back(self, monkeypatch, caplog):
+        # random_params(default_rng(3)), draw 25: N = 7, g = 0.996, E1 = 33.597 - 1.362i.
+        # even_sector_roots returns one root at positions 2 and 4, and misses another;
+        # neighbours in that order are 0.89 apart, so the gap must be taken over every pair.
+        rng = np.random.default_rng(3)
+        for _ in range(26):
+            p = random_params(rng)
+        lam = spectral.even_sector_roots(p, atom_eigensystem_exact(p).dark_energy)
+        assert abs(lam[2] - lam[4]) <= 1e-14 and np.min(np.abs(np.diff(lam))) > 0.5
+        psi0 = initial_state_photon_at_site(1, p, "effective", "mode")
+        path = _assert_matches_dense(psi0, np.linspace(0.0, 20.0, 401), p, monkeypatch, caplog)
+        assert path.startswith("dense (roots ") and path.endswith(" apart)")
+
     def test_decoupled_amplitudes_advance_by_their_factors(self, fig3a_params, monkeypatch, caplog):
         p = _with_coupling(fig3a_params, 0.0)
         psi0 = initial_state_photon_at_site(5, p, "effective", "mode")
@@ -237,11 +260,10 @@ class TestEigenbasisPath:
         t_grid = np.linspace(0.0, 5.0, 101)
         assert _assert_matches_dense(psi0, t_grid, p, monkeypatch, caplog) == "eigenbasis"
         series = evolve(psi0, t_grid, p)
-        levels = np.r_[atom_eigensystem_exact(p).dark_energy.real, p.mode_frequencies()]
-        centroid, n_sub, dt = dynamics.step_rule(levels, t_grid[1])
-        factor = dynamics._kernels.rk4_factor(
-            -1j * dt * (atom_eigensystem_exact(p).dark_energy - centroid)) ** n_sub
-        assert np.max(np.abs(series.atom_amps[:, 0] - 0.6 * factor ** np.arange(101))) <= 1e-14
+        e1 = atom_eigensystem_exact(p).dark_energy
+        levels = np.r_[e1.real, p.mode_frequencies()]
+        centroid = 0.5 * (levels.max() + levels.min())
+        assert np.max(np.abs(series.atom_amps[:, 0] - 0.6 * np.exp(-1j * (e1 - centroid) * t_grid))) <= 1e-14
 
     def test_samples_are_blocked(self, monkeypatch, caplog):
         # fig4's 8001 samples at even dim 128: an nt x dim array would take 16 MB.
@@ -263,10 +285,13 @@ class TestEigenbasisPath:
         evolve_args = (psi0, np.linspace(0, 1, 11), fig3a_params, monkeypatch, caplog)
         _evolve_on("default", *evolve_args)
         message = caplog.records[-1].getMessage()
-        assert message.startswith("evolve effective/mode: dim 254, n_sub ")
-        assert "RK4 steps; roots " in message and message.endswith("; eigenbasis; even dim 128")
+        assert message.startswith("evolve effective/mode: dim 254, exact steps of dt 0.1; roots ")
+        assert "n_sub" not in message and "matrix" not in message
+        assert message.endswith(" s; eigenbasis; even dim 128")
         _, path = _evolve_on("dense", *evolve_args)
-        assert "RK4 steps; matrix " in caplog.records[-1].getMessage() and path == "dense (reference)"
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("evolve effective/mode: dim 254, n_sub ") and path == "dense (reference)"
+        assert " Taylor steps; roots " in message and " s, matrix " in message
 
 
 class TestDecoupledAtom:
@@ -300,62 +325,85 @@ class TestDecoupledAtom:
         monkeypatch.setattr(dynamics, "SUM_RULE_TOL", 0.0)
         series, path = _evolve_on("default", psi0, t_grid, p, monkeypatch, caplog)
         assert path.startswith("dense (sum rules off by ")
-        assert "RK4 steps; matrix " in caplog.records[-1].getMessage()
+        assert " Taylor steps; roots " in caplog.records[-1].getMessage()
         _assert_close(series, ref, tol=0.0, norm_tol=0.0)
 
     def test_kappa_positive_raises_before_propagating(self, monkeypatch):
-        # The full model at g = 0 checks its atom eigenvalues and every mode level at kappa > 0 too.
-        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
-        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
-        monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
+        # At g = 0 and kappa > 0 a gain in the atom block is found before the atom eigenbasis,
+        # from the block alone: neither sample stage, nor any eigvals of H, may run.
+        _stub_propagation(monkeypatch)
+        monkeypatch.setattr(dynamics, "_atom_eigenbasis", None)
         p = preset("fig4").params.replace(g1=0.0, g2=0.0)
-        message = r"^RK4 step dt = 0\.5 \(n_sub = 4\) grows norm\^2 by up to "
-        with pytest.raises(StepSizeTooLarge, match=message):
-            evolve(initial_state_atom_m(p, "full"), np.linspace(0, 20, 11), p)
+        e1 = atom_eigensystem_exact(p).dark_energy.conjugate()
+        assert p.kappa > 0.0 and e1.imag > 0.0
+        with pytest.raises(StepSizeTooLarge, match=_gain_message(2.0 * e1.imag * 20.0, 20)):
+            evolve(initial_state_atom_m(p, "effective"), np.linspace(0, 20, 11), p, e1=e1)
+
+
+def _stub_propagation(monkeypatch):
+    """Make every propagation stage, and eigvals of H, raise TypeError if called."""
+    monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+    monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
+    monkeypatch.setattr(np.linalg, "eigvals", None)
+
+
+def _gain_message(exponent: float, t_end: float) -> str:
+    return (rf"^the atom block has gain: norm\^2 may grow by a factor exp\({exponent:.4g}\) by "
+            rf"t = {t_end:.4g}, above 1 \+ NORM_GROWTH_TOL = 1 \+ 1e-06$")
 
 
 class TestStepSizeTooLarge:
-    # STEP_FACTOR = 5 makes each RK4 step 250 times too long: the norm grows.
-    def test_kappa_zero_names_the_step(self, fig3a_params, monkeypatch):
-        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
+    # An E1 with Im E1 > 0 is a gain: the norm grows as exp(2 Im E1 t).  The check before
+    # propagating reads it from the atom block alone, with no eigenvalue of H.
+
+    def test_kappa_zero_names_the_step(self, fig3a_params):
         p = fig3a_params.replace(kappa=0.0)
-        message = (r"dt = 2 \(n_sub = 1\) grows norm\^2 by up to 1\.031e\+02 per step, "
-                   r"above NORM_GROWTH_TOL = 1e-06")
-        with pytest.raises(StepSizeTooLarge, match=message):
-            evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
+        e1 = atom_eigensystem_exact(p).dark_energy.real + 0.05j
+        with pytest.raises(StepSizeTooLarge, match=_gain_message(2.0, 20)):
+            evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p, e1=e1)
 
     def test_kappa_zero_raises_before_propagating(self, fig3a_params, monkeypatch):
-        # Calling either sample stage would raise TypeError: the check must come first.
-        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
-        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
-        monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
+        # Calling the roots, either sample stage or eigvals would raise TypeError: the check must come first.
+        _stub_propagation(monkeypatch)
+        monkeypatch.setattr(spectral, "even_sector_roots", None)
         p = fig3a_params.replace(kappa=0.0)
-        with pytest.raises(StepSizeTooLarge):
-            evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p)
+        e1 = atom_eigensystem_exact(p).dark_energy.real + 0.05j
+        with pytest.raises(StepSizeTooLarge, match=_gain_message(2.0, 20)):
+            evolve(initial_state_photon_at_site(0, p, "effective", "mode"), np.linspace(0, 20, 11), p, e1=e1)
 
     def test_kappa_positive_raises_before_propagating(self, fig3a_params, monkeypatch):
-        # On the eigenbasis path the roots bound every step at kappa > 0 too.
-        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
-        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
-        monkeypatch.setattr(dynamics, "_eigenbasis_samples", None)
-        with pytest.raises(StepSizeTooLarge, match=r"dt = 2 \(n_sub = 1\) grows norm\^2 by up to "):
+        # At kappa > 0 the model's own E1 decays; its conjugate gains.
+        _stub_propagation(monkeypatch)
+        monkeypatch.setattr(spectral, "even_sector_roots", None)
+        e1 = atom_eigensystem_exact(fig3a_params).dark_energy.conjugate()
+        with pytest.raises(StepSizeTooLarge, match=_gain_message(2.0 * e1.imag * 20.0, 20)):
             evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
-                   np.linspace(0, 20, 11), fig3a_params)
+                   np.linspace(0, 20, 11), fig3a_params, e1=e1)
 
     def test_full_model_kappa_positive_raises_before_propagating(self, fig3a_params, monkeypatch):
-        # The full model at g != 0 runs on the dense kernel, which reads its eigenvalues at every kappa.
-        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
-        monkeypatch.setattr(dynamics._kernels, "rk4_schrodinger", None)
+        # The full model at g != 0 runs on the dense kernel; a d level with gain +kappa/2 is
+        # found from the 3 x 3 atom block before the matrix is built.
+        _stub_propagation(monkeypatch)
+        monkeypatch.setattr(dynamics, "assemble_hamiltonian", None)
+        blocks = dynamics.hamiltonian_blocks
+
+        def gaining(*args):
+            atom_block, coupling, levels = blocks(*args)
+            return atom_block.conj(), coupling, levels
+
+        monkeypatch.setattr(dynamics, "hamiltonian_blocks", gaining)
         assert fig3a_params.g != 0.0 and fig3a_params.kappa > 0.0
-        message = r"^RK4 step dt = 0\.5 \(n_sub = 4\) grows norm\^2 by up to "
-        with pytest.raises(StepSizeTooLarge, match=message):
+        with pytest.raises(StepSizeTooLarge, match=_gain_message(fig3a_params.kappa * 20.0, 20)):
             evolve(initial_state_photon_at_site(0, fig3a_params, "full", "site"),
                    np.linspace(0, 20, 11), fig3a_params)
 
     def test_kappa_positive(self, fig3a_params, monkeypatch):
-        monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
-        with pytest.raises(StepSizeTooLarge):
-            evolve(initial_state_photon_at_site(0, fig3a_params, "effective", "mode"),
+        # STEP_FACTOR = 10 makes the dense kernel's Taylor step 40 times too long: the norm
+        # grows, and the check after propagating names the steps.
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", 10.0)
+        message = r"^norm\^2 grew from 1 to .* \(n_sub 6, dt 0\.3333, 60 Taylor steps\)$"
+        with pytest.raises(StepSizeTooLarge, match=message):
+            evolve(initial_state_photon_at_site(0, fig3a_params, "full", "site"),
                    np.linspace(0, 20, 11), fig3a_params)
 
 

@@ -1,20 +1,23 @@
-"""The kernels against the step-by-step RK4 loops they replaced.
+"""The kernels against exact references.
 
-``_reference_rk4`` is the Schrodinger loop: four right-hand-side
-evaluations per step on the structured Hamiltonian (atom block, coupling
-rows, and the photon diagonal in mode space or the cyclic omega0, -xi
-chain in site space).  Applying one RK4 step to a linear ODE is the same
-polynomial in dt*H as the kernel's step matrix, so the two agree up to
-rounding.
+``_reference_evolve`` builds the full Hamiltonian, with no parity split,
+column by column from the structured right-hand side (atom block,
+coupling rows, and the photon diagonal in mode space or the cyclic
+omega0, -xi chain in site space), and advances each grid interval with
+one ``scipy.linalg.expm``.  ``evolve`` propagates exactly on the
+eigenbasis paths and by a degree-12 Taylor step below rounding on the
+dense kernel, so the two agree up to rounding.
 
-``_reference_rk4_lindblad`` is the dense k1..k4 master-equation loop,
-re-Hermitized after every step.  The kernel applies the same polynomial
-in dt*L, as four dense Horner stages or in the eigenbasis of H_eff, so the
-samples agree up to rounding too.
+``_reference_lindblad`` is the Lindblad/non-Hermitian identity: from a
+pure excited state, rho(t) is |psi(t)><psi(t)| with psi(t) = expm(-i
+H_eff t) psi0, plus 1 - |psi(t)|^2 at the sink.  The kernel propagates
+exactly in the eigenbasis of H_eff, or in Horner stages of the Taylor
+step, so the samples agree up to rounding too.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qbsim import _kernels, effective_hamiltonian
 from qbsim.dynamics import (
@@ -53,41 +56,38 @@ def _rhs_site(atom_block, coupling, omega0, xi, psi, na):
     return -1j * out
 
 
-def _reference_rk4(atom_block, coupling, photon_diag, omega0, xi, psi0, dt, n_sub, n_samples):
-    """Step-by-step RK4; returns (atom_samples, norm2_samples, psi_final)."""
+def _reference_expm(atom_block, coupling, photon_diag, omega0, xi, psi0, dt_grid, n_samples):
+    """One expm of the structured H per grid interval; returns (atom_samples, norm2_samples, psi_final)."""
     na = atom_block.shape[0]
-    psi = psi0.astype(complex).copy()
-    atom_out = np.empty((n_samples, na), dtype=complex)
-    norm_out = np.empty(n_samples, dtype=float)
     if photon_diag is not None:
         rhs = lambda p: _rhs_mode(atom_block, coupling, photon_diag, p, na)
     else:
         rhs = lambda p: _rhs_site(atom_block, coupling, omega0, xi, p, na)
+    eye = np.eye(len(psi0), dtype=complex)
+    step = scipy.linalg.expm(dt_grid * np.column_stack([rhs(col) for col in eye]))  # rhs(psi) = -i H psi
+    psi = psi0.astype(complex).copy()
+    atom_out = np.empty((n_samples, na), dtype=complex)
+    norm_out = np.empty(n_samples, dtype=float)
     atom_out[0] = psi[:na]
     norm_out[0] = float(np.vdot(psi, psi).real)
     for i in range(1, n_samples):
-        for _ in range(n_sub):
-            k1 = rhs(psi)
-            k2 = rhs(psi + 0.5 * dt * k1)
-            k3 = rhs(psi + 0.5 * dt * k2)
-            k4 = rhs(psi + dt * k3)
-            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = step @ psi
         atom_out[i] = psi[:na]
         norm_out[i] = float(np.vdot(psi, psi).real)
     return atom_out, norm_out, psi
 
 
 def _reference_evolve(psi0, t_grid, params):
-    """The structured blocks shifted by the same centroid as ``evolve``, through the loop."""
+    """The structured blocks shifted by the same centroid as ``evolve``, through ``_reference_expm``."""
     t_grid, dt_grid = check_time_grid(t_grid)
     atom_block, coupling, photon_diag = hamiltonian_blocks(params, psi0.model, psi0.representation)
     levels = np.concatenate([np.diag(atom_block).real, params.mode_frequencies()])
-    centroid, n_sub, dt = step_rule(levels, dt_grid)
+    centroid = 0.5 * (levels.max() + levels.min())
     atom_block = atom_block - centroid * np.eye(atom_block.shape[0])
     if photon_diag is not None:
         photon_diag = photon_diag - centroid
-    return _reference_rk4(atom_block, coupling, photon_diag, params.omega0 - centroid, params.xi,
-                          np.concatenate([psi0.atom, psi0.photon]), dt, n_sub, len(t_grid))
+    return _reference_expm(atom_block, coupling, photon_diag, params.omega0 - centroid, params.xi,
+                           np.concatenate([psi0.atom, psi0.photon]), dt_grid, len(t_grid))
 
 
 # Sites 1 and 5 carry an odd sector, which evolve advances in closed form.
@@ -114,79 +114,58 @@ def test_evolve_matches_step_by_step_rk4(fig3a_params, model, representation, ka
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 11, 23])
 def test_three_buffer_power_matches_numpy(fig3a_params, n):
-    # One sample of the kernel with n_sub = n against n applications of P(z), written term by term.
+    # One sample of the kernel with n_sub = n against expm of the whole interval.
     h = effective_hamiltonian(fig3a_params, "mode")
     h -= 100.0 / 3.0 * np.eye(h.shape[0])
     psi0 = np.zeros(h.shape[0], dtype=complex)
     psi0[[0, 1, 7]] = 0.6, 0.64j, -0.48
-    z = -1j * 0.01 * h
-    z2 = z @ z
-    step = np.eye(h.shape[0]) + z + z2 / 2 + z2 @ z / 6 + z2 @ z2 / 24
-    expected = psi0
-    for _ in range(n):
-        expected = step @ expected
+    expected = scipy.linalg.expm(-1j * (n * 0.01) * h) @ psi0
     samples, _, _, _ = _kernels.rk4_schrodinger(h, h.shape[0], psi0, 0.01, n_sub=n, n_samples=2)
     assert np.max(np.abs(samples[1] - expected)) <= 1e-13
 
 
-def _reference_rk4_lindblad(h_real, kappa, d_index, sink_index, rho0, dt, n_sub, n_samples):
-    """Step-by-step dense RK4 of the master equation; returns (rho_samples, trace_samples)."""
-    dim = h_real.shape[0]
-    rho = rho0.astype(complex).copy()
-    rho_out = np.empty((n_samples, dim, dim), dtype=complex)
-    tr_out = np.empty(n_samples, dtype=float)
+def _reference_lindblad(h_real, kappa, d_index, sink_index, rho0, t_grid):
+    """Exact (rho_samples, trace_samples) from the pure excited state rho0 = |psi0><psi0|.
 
-    def rhs(r):
-        hr = h_real @ r
-        out = -1j * (hr - hr.conj().T)
-        if kappa != 0.0:
-            half = 0.5 * kappa
-            dd = r[d_index, d_index]
-            out[d_index, :] -= half * r[d_index, :]
-            out[:, d_index] -= half * r[:, d_index]
-            out[sink_index, sink_index] += kappa * dd
-        return out
-
-    rho_out[0] = rho
-    tr_out[0] = float(np.trace(rho).real)
-    for i in range(1, n_samples):
-        for _ in range(n_sub):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-        rho_out[i] = rho
-        tr_out[i] = float(np.trace(rho).real)
-    return rho_out, tr_out
+    The Lindblad/non-Hermitian identity: rho(t) = |psi(t)><psi(t)| with
+    psi(t) = expm(-i H_eff t) psi0, and the sink holds 1 - |psi(t)|^2.
+    """
+    vals, vecs = np.linalg.eigh(rho0)
+    assert vals[-1] == pytest.approx(1.0, abs=1e-14) and rho0[sink_index, sink_index] == 0.0
+    psi0 = vecs[:, -1]
+    h_eff = h_real.astype(complex)
+    h_eff[d_index, d_index] -= 0.5j * kappa
+    rho_out = np.empty((len(t_grid), len(psi0), len(psi0)), dtype=complex)
+    for i, t in enumerate(t_grid):
+        psi = scipy.linalg.expm(-1j * t * h_eff) @ psi0
+        rho_out[i] = np.outer(psi, psi.conj())
+        rho_out[i, sink_index, sink_index] = 1.0 - np.vdot(psi, psi).real
+    return rho_out, np.trace(rho_out, axis1=1, axis2=2).real
 
 
 def _shifted_lindblad_hamiltonian(params, t_grid):
     """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, with its dt and n_sub."""
     t_grid, dt_grid = check_time_grid(t_grid)
     h = _full_hermitian_hamiltonian(params)
-    centroid, n_sub, dt = step_rule(np.diag(h).real[D_IDX:], dt_grid)
-    h_shift = h - centroid * np.eye(h.shape[0])
+    levels = np.diag(h).real[D_IDX:]
+    h_shift = h - 0.5 * (levels.max() + levels.min()) * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
+    n_sub, dt = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
     return h_shift, dt, n_sub
 
 
-def _reference_lindblad_evolve(rho0, t_grid, params):
-    """``_shifted_lindblad_hamiltonian`` through the loop."""
-    h_shift, dt, n_sub = _shifted_lindblad_hamiltonian(params, t_grid)
-    return _reference_rk4_lindblad(h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
-
-
 def _assert_lindblad_matches_reference(rho0, t_grid, p):
+    """``lindblad_evolve`` against ``_reference_lindblad`` at 1e-12; returns the series."""
     lb = lindblad_evolve(rho0, t_grid, p)
-    rho_ref, tr_ref = _reference_lindblad_evolve(rho0, t_grid, p)
+    h_shift = _shifted_lindblad_hamiltonian(p, t_grid)[0]
+    rho_ref, tr_ref = _reference_lindblad(h_shift, p.kappa, D_IDX, SINK, rho0.rho, t_grid)
     ref = [DensityMatrix(rho, p) for rho in rho_ref]
     assert np.max(np.abs(lb.norm2 - tr_ref)) <= 1e-12
     assert np.max(np.abs(lb.p_dark - [dm.dark_population() for dm in ref])) <= 1e-12
     assert np.max(np.abs(lb.atom_amps - np.real(rho_ref[:, D_IDX:, D_IDX:][:, range(3), range(3)]))) <= 1e-12
     assert np.max(np.abs(lb.final_rho.rho - rho_ref[-1])) <= 1e-12
     assert lb.final_rho.hermiticity_defect() == 0.0
+    return lb
 
 
 # Sites 3 and N - 2 = 19 start with the photon away from the atom, as the lindblad benchmark does.
@@ -210,8 +189,8 @@ def test_lindblad_matches_step_by_step_rk4(fig3a_params, path, kappa_zero, site,
 def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params, caplog):
     # With the array decoupled and d, e degenerate, two eigenvalues of the atom block
     # of H_eff coalesce at kappa = 170.0340244, where cond(V) is about 1e7; the
-    # eigenbasis would lose digits there.  dt = 0.01 keeps dt kappa inside RK4's
-    # stability interval.
+    # eigenbasis would lose digits there.  The step rule reads kappa through the
+    # generator's norm.
     p = fig3a_params.replace(n_cavities=21, g1=0.0, g2=0.0, delta_e=fig3a_params.omega_d_real,
                              omega_e_level=fig3a_params.omega_d_real, kappa=170.0340244)
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
@@ -258,7 +237,7 @@ def test_horner_stages_honour_a_hop_across_the_ring(fig3a_params, monkeypatch):
     rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
     block, traces, rho_final, cond_v = _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub,
                                                              len(t_grid))
-    rho_ref, tr_ref = _reference_rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub, len(t_grid))
+    rho_ref, tr_ref = _reference_lindblad(h, p.kappa, D_IDX, SINK, rho0, t_grid)
     assert cond_v is None
     assert np.max(np.abs(block - rho_ref[:, D_IDX:D_IDX + 3, D_IDX:D_IDX + 3])) <= 1e-12
     assert np.max(np.abs(traces - tr_ref)) <= 1e-12

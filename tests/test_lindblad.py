@@ -7,6 +7,7 @@ from qbsim import _kernels, dynamics, lindblad
 from qbsim.dynamics import evolve, initial_state_atom_m, initial_state_photon_at_site
 from qbsim.errors import StepSizeTooLarge, TraceDrift
 from qbsim.lindblad import initial_density_matrix, lindblad_evolve, population_report
+from test_kernels import _assert_lindblad_matches_reference
 
 
 @pytest.fixture
@@ -101,40 +102,48 @@ def test_bad_time_grid_rejected(small_params, propagate, t_grid, message):
 
 
 def test_non_finite_trace_names_the_step(small_params, monkeypatch):
-    # STEP_FACTOR = 5 makes each RK4 step 250 times too long: rho overflows to NaN.
-    # The check before propagating catches this step; switched off, the check after must.
-    monkeypatch.setattr(dynamics, "STEP_FACTOR", 5.0)
-    monkeypatch.setattr(_kernels, "NORM_GROWTH_TOL", np.inf)
+    # STEP_FACTOR = 20 makes each Taylor step of the Horner stages 80 times too long: rho
+    # overflows to NaN, and the check after propagating names the steps.
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", 20.0)
+    monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the overflow must not leak out
-        with pytest.raises(StepSizeTooLarge, match=r"non-finite with RK4 step dt = 0\.5882"):
+        with pytest.raises(StepSizeTooLarge, match=r"non-finite \(n_sub 67, dt 0\.2985, 670 Taylor steps\)$"):
             lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 200, 11), small_params)
 
 
 def test_trace_drift_names_the_step(small_params, monkeypatch):
-    # STEP_FACTOR = 1 makes each RK4 step 50 times too long: rho grows but stays finite.
-    # The check before propagating catches this step; switched off, the check after must.
-    monkeypatch.setattr(dynamics, "STEP_FACTOR", 1.0)
-    monkeypatch.setattr(_kernels, "NORM_GROWTH_TOL", np.inf)
+    # The same long step over a short window: rho grows but stays finite.
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", 20.0)
+    monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
-    with pytest.raises(TraceDrift, match=r"reached .* with RK4 step dt = 0\.1, n_sub = 5$"):
+    with pytest.raises(TraceDrift, match=r"reached .* \(n_sub 2, dt 0\.25, 20 Taylor steps\)$"):
         lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 5, 11), small_params)
 
 
 @pytest.mark.parametrize("kappa_zero", [False, True], ids=["kappa", "kappa0"])
 @pytest.mark.parametrize("step_factor, t_max, dt, n_sub", [(5.0, 200.0, "0.5882", 34), (1.0, 5.0, "0.1", 5)])
-def test_long_step_raises_before_propagating(small_params, monkeypatch, step_factor, t_max, dt, n_sub,
-                                             kappa_zero):
-    # The two steps above, now stopped before the first step: neither propagation stage may run.
-    # At kappa = 0 tr rho stays exactly 1 while rho grows, so no check after propagating sees it.
+def test_long_step_raises_before_propagating(small_params, monkeypatch, caplog, step_factor, t_max, dt,
+                                             n_sub, kappa_zero):
+    # RK4 steps of dt (n_sub per interval) once grew rho on these grids, and were stopped before
+    # propagating.  The eigenbasis has no step: each interval is one exact exponential, whatever
+    # STEP_FACTOR says, so the run is stable, and the run at the default STEP_FACTOR to rounding
+    # (the kernel's interval dt n_sub may differ from the grid spacing in the last bit).
     p = small_params.replace(kappa=0.0) if kappa_zero else small_params
+    rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
+    t_grid = np.linspace(0, t_max, 11)
+    default = lindblad_evolve(rho0, t_grid, p)
     monkeypatch.setattr(dynamics, "STEP_FACTOR", step_factor)
-    monkeypatch.setattr(_kernels, "_lindblad_eigenbasis", None)
     monkeypatch.setattr(_kernels, "_lindblad_horner", None)
-    psi0 = initial_state_photon_at_site(0, p, "full", "site")
-    with pytest.raises(StepSizeTooLarge, match=rf"^RK4 step dt = {dt} \(n_sub = {n_sub}, kappa = "):
-        lindblad_evolve(initial_density_matrix(psi0, p), np.linspace(0, t_max, 11), p)
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    lb = lindblad_evolve(rho0, t_grid, p)
+    (record,) = caplog.records
+    assert f"exact steps of dt {t_max / 10:g}, " in record.getMessage()
+    assert f"dt = {dt}" not in record.getMessage() and "n_sub" not in record.getMessage()
+    assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-12 and lb.final_rho.min_eigenvalue() >= -1e-12
+    for a, b in ((lb.p_dark, default.p_dark), (lb.norm2, default.norm2), (lb.final_rho.rho, default.final_rho.rho)):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def _fast_decay(params):
@@ -144,29 +153,23 @@ def _fast_decay(params):
     return initial_density_matrix(initial_state_atom_m(p, "full"), p), p
 
 
-def test_fast_decay_raises_before_propagating(small_params, monkeypatch):
-    # dt kappa = 3.4 > 2.785: RK4 is unstable on rho_dd, which used to surface only as
-    # TraceDrift at 3.4e9 after the run.
+def test_fast_decay_raises_before_propagating(small_params, caplog):
+    # dt kappa = 3.4 > 2.785 made RK4 unstable on rho_dd on this grid.  Near the exceptional
+    # point the Horner stages run, and the step rule reads kappa through the generator's norm,
+    # so dt kappa <= STEP_FACTOR / 2: the run matches the exact solution.
     rho0, p = _fast_decay(small_params)
-    monkeypatch.setattr(_kernels, "_lindblad_eigenbasis", None)
-    monkeypatch.setattr(_kernels, "_lindblad_horner", None)
-    message = (r"^RK4 step dt = 0\.02 \(n_sub = 5, kappa = 170\.034\) grows \|y_ab\|\^2 by up to "
-               r"2\.99\de\+00 per step, above NORM_GROWTH_TOL = 1e-06$")
-    with pytest.raises(StepSizeTooLarge, match=message):
-        lindblad_evolve(rho0, np.linspace(0, 2, 21), p)
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    _assert_lindblad_matches_reference(rho0, np.linspace(0, 2, 21), p)
+    (record,) = caplog.records
+    n_sub = int(record.getMessage().split("n_sub ")[1].split(",")[0])
+    assert record.getMessage().endswith("; Horner stages") and 0.1 / n_sub * p.kappa <= 0.125
 
 
-def test_fast_decay_stable_step_unchanged_by_the_check(small_params, monkeypatch):
-    # With dt = 0.002 the step is stable, and the check leaves every output bit unchanged.
+def test_fast_decay_stable_step_unchanged_by_the_check(small_params):
+    # On a ten times finer grid the Horner stages conserve the trace to rounding too.
     rho0, p = _fast_decay(small_params)
-    t_grid = np.linspace(0, 2, 201)
-    checked = lindblad_evolve(rho0, t_grid, p)
-    monkeypatch.setattr(_kernels, "NORM_GROWTH_TOL", np.inf)
-    unchecked = lindblad_evolve(rho0, t_grid, p)
-    assert abs(checked.norm2[-1] - 1.0) <= 1e-15
-    for a, b in ((checked.p_dark, unchecked.p_dark), (checked.norm2, unchecked.norm2),
-                 (checked.final_rho.rho, unchecked.final_rho.rho)):
-        assert np.array_equal(a, b)
+    lb = _assert_lindblad_matches_reference(rho0, np.linspace(0, 2, 201), p)
+    assert abs(lb.norm2[-1] - 1.0) <= 1e-15
 
 
 def test_debug_log_names_the_steps(small_params, caplog):
@@ -175,8 +178,8 @@ def test_debug_log_names_the_steps(small_params, caplog):
     lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params)
     (record,) = caplog.records
     assert record.name == "qbsim.lindblad"
-    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, n_sub ")
-    assert "RK4 steps, trace drift " in record.getMessage()
+    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, exact steps of dt 0.1, ")
+    assert ", trace drift " in record.getMessage() and "n_sub" not in record.getMessage()
     assert "; propagation " in record.getMessage()
 
 
@@ -185,9 +188,9 @@ def test_debug_log_names_the_eigenbasis(small_params, caplog):
     psi0 = initial_state_photon_at_site(3, small_params, "full", "site")
     lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 1, 11), small_params)
     (record,) = caplog.records
-    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, n_sub ")
+    assert record.getMessage().startswith("lindblad_evolve jump_to_ground: dim 25, exact steps of dt 0.1, ")
     head, cond_v = record.getMessage().rsplit("; eigenbasis, cond(V) ", 1)
-    assert "RK4 steps, trace drift " in head and "; propagation " in head
+    assert ", trace drift " in head and "; propagation " in head and "Taylor steps" not in head
     assert 1.0 <= float(cond_v) <= 10.0
 
 
