@@ -137,7 +137,7 @@ def lindblad_evolve(
     n_sub, dt = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
 
     t0 = time.perf_counter()
-    # A non-finite rho0 spreads NaN through rho; the trace checks below report it as a typed error.
+    # A Horner step far too long overflows rho; the trace checks below report it as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         block, traces, rho_final, cond_v = _kernels.rk4_lindblad(
             h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
