@@ -1,8 +1,8 @@
 """Numpy propagation kernels: the hot loops of the package.
 
 Both kernels integrate i dpsi/dt = H psi (or the master equation) with
-time-independent generators and record a sample every grid spacing
-dt n_sub.  Callers look them up as ``_kernels.rk4_*`` at call time, so a
+time-independent generators and record a sample every grid spacing.
+Callers look them up as ``_kernels.rk4_*`` at call time, so a
 wrapper installed on this module sees every call; the names are kept
 from the RK4 kernels they replaced.
 
@@ -30,21 +30,24 @@ whose jump takes d to the sink.  H's sink row and column must be zero
 (ValueError otherwise), so H_eff = V diag(lam) V^-1 with the sink as
 eigenvalue 0, and y = V^-1 rho V^-H obeys dy_ab/dt = -i (lam_a - conj
 lam_b) y_ab, except that the jump feeds y_sink,sink, where that rate is
-0, and reads nothing there.  Over one interval Delta = dt n_sub, then,
-exactly y_ab <- exp(mu_ab) y_ab, mu_ab = -i Delta (lam_a - conj lam_b),
-and the sink gains kappa Delta sum_ab V_da conj(V_db) phi1(mu_ab) y_ab,
-phi1(x) = (e^x - 1)/x (Hochbruck & Ostermann, Acta Numer. 19 (2010)
-209): O(dim^2) per sample after one ``eig``, with no step inside the
-interval.  rho is rebuilt only at the end, made exactly Hermitian.  Near
-an exceptional point V is ill-conditioned and the eigenbasis loses
-digits, so above EIGENBASIS_MAX_COND the Horner stages run instead: n_sub
-steps dt per interval, each T(dt L) written as r <- rho + (dt/k) L(r) for
-k = 12, ..., 1.  A stage is one dense product m = Z r / k with Z = -i dt
-H_eff, then r = rho + m + m^H, plus (dt/k) kappa r_dd at the sink, so
-every stage is exactly Hermitian and costs O(dim^3).  Both paths store
-only the sampled atom block, the traces and the final rho; an N = 53 run
-of 1201 samples takes about 0.03 s in the eigenbasis and seconds in
-Horner stages (one BLAS thread).
+0, and reads nothing there.  Over one grid interval Delta, then, exactly
+y_ab <- exp(mu_ab) y_ab, mu_ab = -i Delta (lam_a - conj lam_b), and the
+sink gains kappa Delta sum_ab V_da conj(V_db) phi1(mu_ab) y_ab, phi1(x) =
+(e^x - 1)/x (Hochbruck & Ostermann, Acta Numer. 19 (2010) 209): O(dim^2)
+per sample after one ``eig``.  Near an exceptional point V is
+ill-conditioned and the eigenbasis loses digits, so above
+EIGENBASIS_MAX_COND the dense exponential runs on rho itself: P =
+T(-i dt H_eff)^n_sub with dt = Delta/n_sub, the Schrodinger build, and
+M = P - I.  Exactly rho <- P rho P^H over the interval (P's sink row and
+column are I's), applied as rho + X + X^H with X = M rho (I + M^H/2) so
+that rho stays exactly Hermitian, and the sink gains tr(K rho), K = I -
+P^H P = -(M + M^H + M^H M), since d tr rho_excited/dt = -kappa rho_dd:
+the trace is conserved by construction, at two dense products a sample.
+Both paths run one sample loop, on their readout basis (V, or I), their
+advance over one interval and the weights of tr rho and the sink's gain,
+and store only the sampled atom block, the traces and the final rho; an
+N = 53 run of 1201 samples takes 0.03 s in the eigenbasis and 0.15 s by
+the dense exponential (one BLAS thread).
 """
 
 from __future__ import annotations
@@ -56,10 +59,19 @@ import numpy as np
 #: There is no compiled backend; kept for run records that report it.
 USING_COMPILED = False
 #: Largest cond(V) of H_eff's eigenvectors at which ``rk4_lindblad`` runs in
-#: the eigenbasis; closer to an exceptional point the Horner stages run.
+#: the eigenbasis; closer to an exceptional point the dense exponential runs.
 #: Every preset at N = 21, 53 and 253, with and without kappa and g, has
 #: cond(V) 1.0-4.7; at 1.75e3 the eigenbasis moved rho by 5.9e-10.
 EIGENBASIS_MAX_COND = 1e3
+
+
+def _taylor_power(h: np.ndarray, dt: float, n_sub: int) -> np.ndarray:
+    """T(-i dt h)^n_sub: the degree-12 Taylor polynomial by Horner's rule, raised by ``matrix_power``."""
+    z, one = -1j * dt * h, np.eye(len(h))
+    step = one + z / 12
+    for k in range(11, 0, -1):
+        step = one + (z @ step) / k
+    return np.linalg.matrix_power(step, n_sub)
 
 
 def rk4_schrodinger(
@@ -77,11 +89,7 @@ def rk4_schrodinger(
     spent building the propagation matrix T(-i dt H)^n_sub.
     """
     t0 = time.perf_counter()
-    z, one = -1j * dt * h, np.eye(len(h))
-    step = one + z / 12
-    for k in range(11, 0, -1):
-        step = one + (z @ step) / k
-    step = np.linalg.matrix_power(step, n_sub)
+    step = _taylor_power(h, dt, n_sub)
     build_s = time.perf_counter() - t0
 
     psi = psi0.astype(complex)
@@ -96,42 +104,51 @@ def rk4_schrodinger(
     return atom_out, norm_out, psi, build_s
 
 
-def rk4_lindblad(
-    h_real: np.ndarray,
-    kappa: float,
-    d_index: int,
-    sink_index: int,
-    rho0: np.ndarray,
-    dt: float,
-    n_sub: int,
-    n_samples: int,
-):
-    """Propagate the master equation with jump sqrt(kappa)|sink><d|, sampling every dt n_sub.
+def rk4_lindblad(h_real: np.ndarray, kappa: float, d_index: int, sink_index: int, rho0: np.ndarray,
+                 delta: float, n_sub: int, n_samples: int):
+    """Propagate the master equation with jump sqrt(kappa)|sink><d|, sampling every grid spacing ``delta``.
 
     drho/dt = -i[H, rho] - (kappa/2){Pd, rho} + kappa rho_dd |sink><sink|.
     The atom levels (d, e, m) are d_index .. d_index + 2, and the sink's
     row and column of ``h_real`` must be zero (ValueError naming it,
-    before any work).  It runs in the eigenbasis of H_eff, exactly over
-    each interval dt n_sub, when cond(V) <= EIGENBASIS_MAX_COND, otherwise
-    in Horner stages of n_sub steps dt per interval.
+    before any work).  It runs in the eigenbasis of H_eff when cond(V) <=
+    EIGENBASIS_MAX_COND, otherwise by the dense exponential of n_sub
+    Taylor steps delta/n_sub.
 
     Returns (atom_samples, trace_samples, rho_final, cond_v): the sampled
     3 x 3 atom block, tr rho, the last state, and cond(V) of the
-    eigenbasis, or None where the Horner stages ran.
+    eigenbasis, or None where the dense exponential ran.
     """
     if np.any(h_real[sink_index]) or np.any(h_real[:, sink_index]):
         raise ValueError(f"h_real's sink row and column (index {sink_index}) must be zero")
     h_eff = h_real.astype(complex)
     h_eff[d_index, d_index] -= 0.5j * kappa
     rho = rho0.astype(complex)
-    rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian, so every Horner stage stays so
-    lam, v, cond_v = _sink_padded_eig(h_eff, sink_index)
+    rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian, so every dense step keeps it so
+    lam, basis, cond_v = _sink_padded_eig(h_eff, sink_index)
     if cond_v <= EIGENBASIS_MAX_COND:
-        w = np.linalg.inv(v)
+        w = np.linalg.inv(basis)
         y = w @ rho @ w.conj().T
         del h_eff, rho, w  # keep only the eigenbasis arrays live while it propagates
-        return (*_lindblad_eigenbasis(lam, v, y, kappa, d_index, sink_index, dt * n_sub, n_samples), cond_v)
-    return (*_lindblad_horner(h_eff, kappa, d_index, sink_index, rho, dt, n_sub, n_samples), None)
+        advance, weights = _eigenbasis_step(lam, basis, kappa, d_index, delta)
+    else:
+        y, basis, cond_v = rho, np.eye(len(rho)), None
+        advance, weights = _dense_step(h_eff, delta / n_sub, n_sub)
+
+    # rho = B y B^H (B = basis), tr rho = weights[0] . y; the sink gains weights[1] . y, taken before each advance.
+    atom = basis[d_index:d_index + 3]
+    atom_h = atom.conj().T
+    atom_out = np.empty((n_samples, 3, 3), dtype=complex)
+    tr_out = np.empty(n_samples, dtype=float)
+    for i in range(n_samples):
+        atom_out[i] = atom @ y @ atom_h
+        trace, gain = weights @ y.ravel()
+        tr_out[i] = trace.real
+        if i + 1 < n_samples:
+            advance(y)
+            y[sink_index, sink_index] += gain
+    rho = basis @ y @ basis.conj().T
+    return atom_out, tr_out, 0.5 * (rho + rho.conj().T), cond_v
 
 
 def _sink_padded_eig(h_eff: np.ndarray, sink: int):
@@ -148,12 +165,11 @@ def _sink_padded_eig(h_eff: np.ndarray, sink: int):
     return lam, v, float(np.linalg.cond(v))
 
 
-def _lindblad_eigenbasis(lam, v, y, kappa, d_index, sink, delta, n_samples):
-    """The master equation on y = V^-1 rho V^-H (module docstring), exactly, sampling every ``delta``.
+def _eigenbasis_step(lam, v, kappa, d_index, delta):
+    """(advance, weights) of one exact interval ``delta`` on y = V^-1 rho V^-H (module docstring).
 
-    Per sample y <- y o exp(mu), mu_ab = -i delta (lam_a - conj lam_b), and
-    the sink gains sum_ab C_ab y_ab with C = kappa delta (V_d x conj V_d) o
-    phi1(mu).  ``y`` is overwritten.
+    advance(y) sets y <- y o exp(mu), mu_ab = -i delta (lam_a - conj lam_b);
+    the sink gains sum_ab C_ab y_ab, C = kappa delta (V_d x conj V_d) o phi1(mu).
     """
     dim = len(lam)
     mu = lam[:, None] - lam.conj()
@@ -167,41 +183,23 @@ def _lindblad_eigenbasis(lam, v, y, kappa, d_index, sink, delta, n_samples):
     gain_w *= (kappa * delta) * v[d_index][:, None]
     gain_w *= v[d_index].conj()
     np.matmul(v.T, v.conj(), out=trace_w)
-    weights = weights.reshape(2, dim * dim)
-    atom = v[d_index:d_index + 3]
-    atom_h = atom.conj().T
-
-    atom_out = np.empty((n_samples, 3, 3), dtype=complex)
-    tr_out = np.empty(n_samples, dtype=float)
-    for i in range(n_samples):
-        atom_out[i] = atom @ y @ atom_h
-        trace, gain = weights @ y.ravel()
-        tr_out[i] = trace.real
-        if i + 1 < n_samples:
-            y *= step
-            y[sink, sink] += gain
-    rho = v @ y @ v.conj().T
-    return atom_out, tr_out, 0.5 * (rho + rho.conj().T)
+    return (lambda y: np.multiply(y, step, out=y)), weights.reshape(2, dim * dim)
 
 
-def _lindblad_horner(h_eff, kappa, d_index, sink, rho, dt, n_sub, n_samples):
-    """Each step T(dt L) as Horner stages r <- rho + (dt/k) L(r), k = 12, ..., 1, with jump |sink><d|.
+def _dense_step(h_eff, dt, n_sub):
+    """(advance, weights) of one interval dt n_sub on rho by P = T(-i dt H_eff)^n_sub (module docstring).
 
-    Each stage writes a fresh array, so ``rho`` is never overwritten.
+    advance(rho) sets rho <- P rho P^H; the sink gains tr(K rho), K = I - P^H P.
     """
-    z = -1j * dt * h_eff
-    atom = slice(d_index, d_index + 3)
-    atom_out = np.empty((n_samples, 3, 3), dtype=complex)
-    tr_out = np.empty(n_samples, dtype=float)
-    atom_out[0], tr_out[0] = rho[atom, atom], np.trace(rho).real
-    for i in range(1, n_samples):
-        for _ in range(n_sub):
-            r = rho
-            for k in range(12, 0, -1):
-                m = (z @ r) / k
-                dd = r[d_index, d_index].real
-                r = rho + (m + m.conj().T)
-                r[sink, sink] += (dt / k) * kappa * dd
-            rho = r
-        atom_out[i], tr_out[i] = rho[atom, atom], np.trace(rho).real
-    return atom_out, tr_out, rho
+    one = np.eye(len(h_eff))
+    m = _taylor_power(h_eff, dt, n_sub) - one  # M = P - I
+    m_h = m.conj().T
+    right = one + 0.5 * m_h
+    # Weights of tr(rho) and of tr(K rho) = sum_ab K_ba rho_ab, read as one product.
+    weights = np.stack([one, -(m + m_h + m_h @ m).T]).reshape(2, -1)
+
+    def advance(rho):
+        x = m @ rho @ right
+        rho += x + x.conj().T  # X + X^H is exactly Hermitian, so rho stays so
+
+    return advance, weights

@@ -17,14 +17,14 @@ where each element of rho advances over a grid interval by one exact
 exponential and the sink gains the decay in between, at O(dim^2) per
 sample (see ``qbsim._kernels``).  Only when cond(V) of that basis exceeds
 ``_kernels.EIGENBASIS_MAX_COND`` (near an exceptional point of H_eff)
-does the kernel run dense Horner stages of a degree-12 Taylor step
-instead, with n_sub steps per interval from ``step_rule``.  On either path
+does it run the dense exponential rho <- P rho P^H instead, P built from
+n_sub degree-12 Taylor steps per interval (``step_rule``).  On either path
 the kernel first checks that the sink's row and column of H are zero
 (ValueError).  kappa >= 0 and H is Hermitian, so rho has no gain: there
 is nothing to check before propagating.  ``lindblad_evolve`` logs each
-call's dim, the grid spacing (on the Horner stages n_sub, dt and the step
-count), trace drift, propagation time and kernel path (eigenbasis with
-its cond(V), or Horner stages) to ``qbsim.lindblad`` at DEBUG.
+call's dim, the grid spacing (on the dense exponential n_sub, dt and the
+step count), trace drift, propagation time and kernel path (eigenbasis
+with its cond(V), or dense exponential) to ``qbsim.lindblad`` at DEBUG.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def lindblad_evolve(
     """Propagate drho/dt = -i[H, rho] + D[L]rho and record P_E1(t).
 
     Exact on the grid in H_eff's eigenbasis, or near an exceptional point
-    Horner stages with the same step rule as the Schrodinger side
+    the dense exponential with the same step rule as the Schrodinger side
     (``step_rule``, on a bound of the generator's norm).  The result holds
     the final state.  ``rho0`` must have dim N + 4 (ValueError).  After
     propagating it raises StepSizeTooLarge if tr rho stops being finite
@@ -133,21 +133,21 @@ def lindblad_evolve(
     levels = np.diag(h).real[D_IDX:]
     h_shift = h - 0.5 * (levels.max() + levels.min()) * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
-    # ||L||_1 <= 2 ||H_eff||_1 + kappa <= 2 (||H||_1 + kappa) for the generator L of the Horner stages.
+    # 2 (||H||_1 + kappa) >= 2 ||H_eff||_1, so each dense Taylor step has ||dt H_eff||_1 <= STEP_FACTOR / 2.
     n_sub, dt = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
 
     t0 = time.perf_counter()
-    # A Horner step far too long overflows rho; the trace checks below report it as a typed error.
+    # A dense step far too long overflows rho; the trace checks below report it as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         block, traces, rho_final, cond_v = _kernels.rk4_lindblad(
-            h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt, n_sub, len(t_grid))
+            h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt_grid, n_sub, len(t_grid))
     drift = np.max(np.abs(traces - traces[0]))
     steps = (f"n_sub {n_sub}, dt {dt:.4g}, {n_sub * (len(t_grid) - 1)} Taylor steps" if cond_v is None
              else f"exact steps of dt {dt_grid:.4g}")
     logger.debug(
         "lindblad_evolve jump_to_ground: dim %d, %s, trace drift %.3e; propagation %.4f s; %s",
         h.shape[0], steps, drift, time.perf_counter() - t0,
-        "Horner stages" if cond_v is None else f"eigenbasis, cond(V) {cond_v:.3g}")
+        "dense exponential" if cond_v is None else f"eigenbasis, cond(V) {cond_v:.3g}")
     if not np.all(np.isfinite(traces)):
         raise StepSizeTooLarge(f"tr rho became non-finite ({steps})")
     if drift > TRACE_TOL:

@@ -83,7 +83,7 @@ class TestCli:
         assert done.stdout == "[]\n"
 
     def test_package_runs_without_scipy(self):
-        # The branch-cut rule and the Lindblad Horner stages are numpy only.
+        # The branch-cut rule and the Lindblad dense exponential are numpy only.
         done = _fresh_python("-c", """
 import sys
 import numpy as np
@@ -96,7 +96,7 @@ e1 = atom_eigensystem_exact(p).dark_energy
 assert type(spectral.branch_cut_integral(0.0, p, e1)) is complex
 assert spectral.branch_cut_integral(np.linspace(0.0, 5.0, 4), p, e1).shape == (4,)
 spectral.analytic_amplitude(np.linspace(0.0, 5.0, 4), p, e1, include_branch_cut=True, initial="atom")
-_kernels.EIGENBASIS_MAX_COND = 0.0  # cond(V) >= 1, so the Horner stages run
+_kernels.EIGENBASIS_MAX_COND = 0.0  # cond(V) >= 1, so the dense exponential runs
 rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
 lindblad_evolve(rho0, np.linspace(0.0, 0.2, 3), p)
 print([m for m in sys.modules if 'scipy' in m])

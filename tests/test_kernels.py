@@ -11,8 +11,9 @@ dense kernel, so the two agree up to rounding.
 ``_reference_lindblad`` is the Lindblad/non-Hermitian identity: from a
 pure excited state, rho(t) is |psi(t)><psi(t)| with psi(t) = expm(-i
 H_eff t) psi0, plus 1 - |psi(t)|^2 at the sink.  The kernel propagates
-exactly in the eigenbasis of H_eff, or in Horner stages of the Taylor
-step, so the samples agree up to rounding too.
+exactly in the eigenbasis of H_eff, or by the dense exponential P rho P^H
+with P built from Taylor steps below rounding, so the samples agree up to
+rounding too.
 """
 
 import numpy as np
@@ -144,21 +145,27 @@ def _reference_lindblad(h_real, kappa, d_index, sink_index, rho0, t_grid):
 
 
 def _shifted_lindblad_hamiltonian(params, t_grid):
-    """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, with its dt and n_sub."""
+    """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, with its grid spacing and n_sub."""
     t_grid, dt_grid = check_time_grid(t_grid)
     h = _full_hermitian_hamiltonian(params)
     levels = np.diag(h).real[D_IDX:]
     h_shift = h - 0.5 * (levels.max() + levels.min()) * np.eye(h.shape[0])
     h_shift[SINK, SINK] = 0.0
-    n_sub, dt = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
-    return h_shift, dt, n_sub
+    n_sub, _ = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
+    return h_shift, dt_grid, n_sub
 
 
-def _assert_lindblad_matches_reference(rho0, t_grid, p):
-    """``lindblad_evolve`` against ``_reference_lindblad`` at 1e-12; returns the series."""
+def _assert_lindblad_matches_reference(rho0, t_grid, p, mixture=None):
+    """``lindblad_evolve`` against ``_reference_lindblad`` at 1e-12; returns the series.
+
+    ``mixture`` lists the (weight, pure rho) whose sum is a mixed rho0; the
+    map is linear, so the reference is the same sum of pure references.
+    """
     lb = lindblad_evolve(rho0, t_grid, p)
     h_shift = _shifted_lindblad_hamiltonian(p, t_grid)[0]
-    rho_ref, tr_ref = _reference_lindblad(h_shift, p.kappa, D_IDX, SINK, rho0.rho, t_grid)
+    rho_ref = sum(w * _reference_lindblad(h_shift, p.kappa, D_IDX, SINK, rho, t_grid)[0]
+                  for w, rho in mixture or [(1.0, rho0.rho)])
+    tr_ref = np.trace(rho_ref, axis1=1, axis2=2).real
     ref = [DensityMatrix(rho, p) for rho in rho_ref]
     assert np.max(np.abs(lb.norm2 - tr_ref)) <= 1e-12
     assert np.max(np.abs(lb.p_dark - [dm.dark_population() for dm in ref])) <= 1e-12
@@ -175,7 +182,7 @@ def _assert_lindblad_matches_reference(rho0, t_grid, p):
     for site in (0, 3, 19) for kappa_zero in (True, False)])
 @pytest.mark.parametrize("path", ["eigenbasis", "horner"])
 def test_lindblad_matches_step_by_step_rk4(fig3a_params, path, kappa_zero, site, monkeypatch, caplog):
-    if path == "horner":  # cond(V) >= 1 always, so the Horner stages run
+    if path == "horner":  # cond(V) >= 1 always, so the dense exponential runs
         monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
     p = fig3a_params.replace(n_cavities=21)
@@ -183,7 +190,7 @@ def test_lindblad_matches_step_by_step_rk4(fig3a_params, path, kappa_zero, site,
     rho0 = initial_density_matrix(initial_state_photon_at_site(site, p, "full", "site"), p)
     _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 2.0, 21), p)
     (record,) = caplog.records
-    assert ("; Horner stages" if path == "horner" else "; eigenbasis, cond(V) ") in record.getMessage()
+    assert ("; dense exponential" if path == "horner" else "; eigenbasis, cond(V) ") in record.getMessage()
 
 
 def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params, caplog):
@@ -197,12 +204,34 @@ def test_lindblad_falls_back_to_horner_stages_at_exceptional_point(fig3a_params,
     rho0 = initial_density_matrix(initial_state_atom_m(p, "full"), p)
     _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 1.0, 101), p)
     (record,) = caplog.records
-    assert record.getMessage().endswith("; Horner stages")
+    assert record.getMessage().endswith("; dense exponential")
+
+
+@pytest.mark.parametrize("case", ["eigenbasis", "horner", "exceptional-point"])
+def test_lindblad_propagates_a_mixed_state(fig3a_params, case, monkeypatch, caplog):
+    # 0.7 of one pure state and 0.3 of another.  At the exceptional point the first is the atom
+    # in m, since with the array decoupled a photon would never reach the coalescing levels.
+    p = fig3a_params.replace(n_cavities=21)
+    if case == "horner":
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    if case == "exceptional-point":
+        p = p.replace(g1=0.0, g2=0.0, delta_e=p.omega_d_real, omega_e_level=p.omega_d_real, kappa=170.0340244)
+    first = (initial_state_atom_m(p, "full") if case == "exceptional-point"
+             else initial_state_photon_at_site(0, p, "full", "site"))
+    mixture = [(0.7, initial_density_matrix(first, p).rho),
+               (0.3, initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho)]
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    rho0 = DensityMatrix(sum(w * rho for w, rho in mixture), p)
+    lb = _assert_lindblad_matches_reference(rho0, np.linspace(0.0, 2.0, 21), p, mixture)
+    (record,) = caplog.records
+    assert record.getMessage().endswith("; dense exponential") == (case != "eigenbasis")
+    assert p.kappa > 0.0 and np.linalg.eigvalsh(rho0.rho)[-2:] == pytest.approx([0.3, 0.7], abs=1e-14)
+    assert lb.final_rho.min_eigenvalue() >= -1e-12
 
 
 def test_horner_stages_reject_a_matrix_that_is_not_ring_and_atom(fig3a_params, monkeypatch):
     # The eigenbasis drops the sink's row and column, so an entry there must be refused on
-    # both paths, before any work; this is the Horner path's case.
+    # both paths, before any work; this is the dense path's case.
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     monkeypatch.setattr(_kernels, "_sink_padded_eig", None)
     p = fig3a_params.replace(n_cavities=21)
@@ -218,24 +247,24 @@ def test_eigenbasis_rejects_an_entry_in_the_sink_row_or_column(fig3a_params, mon
     # Unchecked, this entry would be dropped: the output was byte-identical to the unmodified h's.
     monkeypatch.setattr(_kernels, "_sink_padded_eig", None)
     p = fig3a_params.replace(n_cavities=21)
-    h, dt, n_sub = _shifted_lindblad_hamiltonian(p, np.linspace(0.0, 2.0, 21))
+    h, delta, n_sub = _shifted_lindblad_hamiltonian(p, np.linspace(0.0, 2.0, 21))
     h[(SINK, D_IDX) if entry == "row" else (D_IDX, SINK)] = 5.0
     rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
     with pytest.raises(ValueError, match=r"sink row and column \(index 0\) must be zero"):
-        _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub, 21)
+        _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, delta, n_sub, 21)
 
 
 def test_horner_stages_honour_a_hop_across_the_ring(fig3a_params, monkeypatch):
-    # The stages apply H_eff as one dense matrix, so an entry outside the ring and the atom
-    # block is propagated like any other.
+    # The dense exponential applies H_eff as one dense matrix, so an entry outside the ring
+    # and the atom block is propagated like any other.
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     p = fig3a_params.replace(n_cavities=21)
     t_grid = np.linspace(0.0, 2.0, 21)
-    ring, dt, n_sub = _shifted_lindblad_hamiltonian(p, t_grid)
+    ring, delta, n_sub = _shifted_lindblad_hamiltonian(p, t_grid)
     h = ring.copy()
     h[D_IDX + 3 + 5, D_IDX + 3 + 9] = h[D_IDX + 3 + 9, D_IDX + 3 + 5] = -0.1
     rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
-    block, traces, rho_final, cond_v = _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, dt, n_sub,
+    block, traces, rho_final, cond_v = _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, delta, n_sub,
                                                              len(t_grid))
     rho_ref, tr_ref = _reference_lindblad(h, p.kappa, D_IDX, SINK, rho0, t_grid)
     assert cond_v is None
@@ -243,5 +272,5 @@ def test_horner_stages_honour_a_hop_across_the_ring(fig3a_params, monkeypatch):
     assert np.max(np.abs(traces - tr_ref)) <= 1e-12
     assert np.max(np.abs(rho_final - rho_ref[-1])) <= 1e-12
     # The hop moves rho by far more than that bound (1.4e-2), so it was not dropped.
-    without = _kernels.rk4_lindblad(ring, p.kappa, D_IDX, SINK, rho0, dt, n_sub, len(t_grid))[2]
+    without = _kernels.rk4_lindblad(ring, p.kappa, D_IDX, SINK, rho0, delta, n_sub, len(t_grid))[2]
     assert np.max(np.abs(rho_final - without)) > 1e-3

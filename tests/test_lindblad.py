@@ -102,8 +102,8 @@ def test_bad_time_grid_rejected(small_params, propagate, t_grid, message):
 
 
 def test_non_finite_trace_names_the_step(small_params, monkeypatch):
-    # STEP_FACTOR = 20 makes each Taylor step of the Horner stages 80 times too long: rho
-    # overflows to NaN, and the check after propagating names the steps.
+    # STEP_FACTOR = 20 makes each Taylor step of the dense exponential 80 times too long: on
+    # this grid rho overflows to NaN, and the check after propagating names the steps.
     monkeypatch.setattr(dynamics, "STEP_FACTOR", 20.0)
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
@@ -114,11 +114,13 @@ def test_non_finite_trace_names_the_step(small_params, monkeypatch):
 
 
 def test_trace_drift_names_the_step(small_params, monkeypatch):
-    # The same long step over a short window: rho grows but stays finite.
-    monkeypatch.setattr(dynamics, "STEP_FACTOR", 20.0)
+    # A longer step over a short window: rho grows but stays finite.  The dense step conserves
+    # the trace by construction while P is contractive, as it still is here at STEP_FACTOR 20
+    # (n_sub 2); from STEP_FACTOR 33.3 up each grid interval is one Taylor step, and P grows rho.
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", 40.0)
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
-    with pytest.raises(TraceDrift, match=r"reached .* \(n_sub 2, dt 0\.25, 20 Taylor steps\)$"):
+    with pytest.raises(TraceDrift, match=r"reached .* \(n_sub 1, dt 0\.5, 10 Taylor steps\)$"):
         lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 5, 11), small_params)
 
 
@@ -127,15 +129,15 @@ def test_trace_drift_names_the_step(small_params, monkeypatch):
 def test_long_step_raises_before_propagating(small_params, monkeypatch, caplog, step_factor, t_max, dt,
                                              n_sub, kappa_zero):
     # RK4 steps of dt (n_sub per interval) once grew rho on these grids, and were stopped before
-    # propagating.  The eigenbasis has no step: each interval is one exact exponential, whatever
-    # STEP_FACTOR says, so the run is stable, and the run at the default STEP_FACTOR to rounding
-    # (the kernel's interval dt n_sub may differ from the grid spacing in the last bit).
+    # propagating.  The eigenbasis has no step: each interval is one exact exponential of the grid
+    # spacing, whatever STEP_FACTOR says, so the run is stable and matches the run at the default
+    # STEP_FACTOR (bit for bit, as ``test_exact_path_advances_by_the_grid_spacing`` checks).
     p = small_params.replace(kappa=0.0) if kappa_zero else small_params
     rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
     t_grid = np.linspace(0, t_max, 11)
     default = lindblad_evolve(rho0, t_grid, p)
     monkeypatch.setattr(dynamics, "STEP_FACTOR", step_factor)
-    monkeypatch.setattr(_kernels, "_lindblad_horner", None)
+    monkeypatch.setattr(_kernels, "_taylor_power", None)  # no Taylor step is built
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
     lb = lindblad_evolve(rho0, t_grid, p)
     (record,) = caplog.records
@@ -144,6 +146,20 @@ def test_long_step_raises_before_propagating(small_params, monkeypatch, caplog, 
     assert np.max(np.abs(lb.norm2 - 1.0)) <= 1e-12 and lb.final_rho.min_eigenvalue() >= -1e-12
     for a, b in ((lb.p_dark, default.p_dark), (lb.norm2, default.norm2), (lb.final_rho.rho, default.final_rho.rho)):
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_exact_path_advances_by_the_grid_spacing(small_params, monkeypatch):
+    # The eigenbasis path advances by the grid spacing itself, and STEP_FACTOR sets only the dense
+    # exponential's substeps, so it moves no bit of the eigenbasis path's output.
+    p = small_params.replace(kappa=0.0)
+    rho0 = initial_density_matrix(initial_state_photon_at_site(0, p, "full", "site"), p)
+    runs = []
+    for step_factor in (0.25, 1.0):
+        monkeypatch.setattr(dynamics, "STEP_FACTOR", step_factor)
+        runs.append(lindblad_evolve(rho0, np.linspace(0, 5, 11), p))
+    fine, coarse = runs
+    assert np.array_equal(fine.p_dark, coarse.p_dark) and np.array_equal(fine.norm2, coarse.norm2)
+    assert np.array_equal(fine.final_rho.rho, coarse.final_rho.rho)
 
 
 def _fast_decay(params):
@@ -155,18 +171,18 @@ def _fast_decay(params):
 
 def test_fast_decay_raises_before_propagating(small_params, caplog):
     # dt kappa = 3.4 > 2.785 made RK4 unstable on rho_dd on this grid.  Near the exceptional
-    # point the Horner stages run, and the step rule reads kappa through the generator's norm,
-    # so dt kappa <= STEP_FACTOR / 2: the run matches the exact solution.
+    # point the dense exponential runs, and the step rule reads kappa through the generator's
+    # norm, so dt kappa <= STEP_FACTOR / 2: the run matches the exact solution.
     rho0, p = _fast_decay(small_params)
     caplog.set_level("DEBUG", logger="qbsim.lindblad")
     _assert_lindblad_matches_reference(rho0, np.linspace(0, 2, 21), p)
     (record,) = caplog.records
     n_sub = int(record.getMessage().split("n_sub ")[1].split(",")[0])
-    assert record.getMessage().endswith("; Horner stages") and 0.1 / n_sub * p.kappa <= 0.125
+    assert record.getMessage().endswith("; dense exponential") and 0.1 / n_sub * p.kappa <= 0.125
 
 
 def test_fast_decay_stable_step_unchanged_by_the_check(small_params):
-    # On a ten times finer grid the Horner stages conserve the trace to rounding too.
+    # On a ten times finer grid the dense exponential conserves the trace to rounding too.
     rho0, p = _fast_decay(small_params)
     lb = _assert_lindblad_matches_reference(rho0, np.linspace(0, 2, 201), p)
     assert abs(lb.norm2[-1] - 1.0) <= 1e-15
