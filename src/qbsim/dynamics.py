@@ -160,7 +160,13 @@ class WaveFunction:
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: times, dark-state probability, norm, atom amps."""
+    """Sampled trajectory: times, dark-state probability, norm, atom amps.
+
+    From ``evolve`` the atom amps and ``final_state`` are complex amplitudes
+    of H shifted by the centroid, so they carry exp(i centroid t) as a
+    global phase against the lab frame; from ``lindblad_evolve``, which runs
+    in the lab frame, the atom amps are the atom levels' populations.
+    """
 
     times: np.ndarray
     p_dark: np.ndarray
@@ -362,7 +368,8 @@ def evolve(
     fails; otherwise the dense kernel takes ``step_rule``'s substeps
     (module docstring).  Raises StepSizeTooLarge as the module docstring
     says: before propagating if the atom block has gain, and after it if
-    the norm grows or stops being finite.
+    the norm grows or stops being finite.  The amplitudes keep the
+    centroid frame (``TimeSeries``); P_E1 and norm^2 do not see it.
     """
     t_grid, dt_grid = check_time_grid(t_grid)
 

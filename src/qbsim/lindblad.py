@@ -1,8 +1,8 @@
 """Lindblad master-equation propagation for the full single-excitation model.
 
 This is the independent check on the non-Hermitian treatment: the
-Hamiltonian here is the Hermitian full model (real d-level energy) over
-the truncated basis
+Hamiltonian here is the Hermitian full model (real d-level energy) in
+the lab frame, |0,g> at energy 0, over the truncated basis
 
     {|0,g>} u {|0,d>, |0,e>, |0,m>} u {site-j photon, atom in g},
 
@@ -126,21 +126,14 @@ def lindblad_evolve(
     t_grid, dt_grid = check_time_grid(t_grid)
 
     h = _full_hermitian_hamiltonian(params)
-    # The sink is fully decoupled (zero row and column), so its coherences
-    # vanish identically and its diagonal energy is unobservable; parking it
-    # at the coupled-block centroid keeps ||H|| tied to the physical
-    # frequency spread.
-    levels = np.diag(h).real[D_IDX:]
-    h_shift = h - 0.5 * (levels.max() + levels.min()) * np.eye(h.shape[0])
-    h_shift[SINK, SINK] = 0.0
     # 2 (||H||_1 + kappa) >= 2 ||H_eff||_1, so each dense Taylor step has ||dt H_eff||_1 <= STEP_FACTOR / 2.
-    n_sub, dt = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
+    n_sub, dt = step_rule(2.0 * (np.linalg.norm(h, 1) + params.kappa), dt_grid)
 
     t0 = time.perf_counter()
     # A dense step far too long overflows rho; the trace checks below report it as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         block, traces, rho_final, cond_v = _kernels.rk4_lindblad(
-            h_shift, params.kappa, D_IDX, SINK, rho0.rho, dt_grid, n_sub, len(t_grid))
+            h, params.kappa, D_IDX, SINK, rho0.rho, dt_grid, n_sub, len(t_grid))
     drift = np.max(np.abs(traces - traces[0]))
     steps = (f"n_sub {n_sub}, dt {dt:.4g}, {n_sub * (len(t_grid) - 1)} Taylor steps" if cond_v is None
              else f"exact steps of dt {dt_grid:.4g}")

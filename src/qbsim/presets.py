@@ -92,6 +92,10 @@ class ScenarioConfig:
             raise ConfigError("time.t_max", f"must be > 0, got {self.t_max}")
         if not 0 < self.dt <= self.t_max:
             raise ConfigError("time.dt", f"must be in (0, t_max], got {self.dt}")
+        if not math.isclose(round(self.t_max / self.dt) * self.dt, self.t_max, rel_tol=1e-9):
+            raise ConfigError("time.dt", f"must divide t_max = {self.t_max} into whole steps, got {self.dt}")
+        if (self.sweep_omega0 is not None or self.sweep_xi is not None) and self.model != "effective":
+            raise ConfigError("model", f"a sweep runs the effective model, got {self.model!r}")
         if self.photon_site is not None and not 0 <= self.photon_site < self.params.n_cavities:
             raise ConfigError("initial.site", f"site {self.photon_site} outside 0..{self.params.n_cavities - 1}")
         # The label names the output files, so it must stay one file-name stem inside --out.

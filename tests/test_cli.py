@@ -113,6 +113,31 @@ print([m for m in sys.modules if 'scipy' in m])
         assert code == 2
         assert "xi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["full", "lindblad", "analytic"])
+    def test_sweep_of_another_model_exit_code_2(self, tmp_path, capsys, model):
+        # A sweep runs the effective model; it must not report that model's W_max under another name.
+        data = preset("fig6").to_dict()
+        data["params"]["n_cavities"] = 21
+        data["sweep"] = {"xi": [1.0]}
+        data["model"] = model
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["--out", str(tmp_path / "out"), "--threads", "1", "run", str(path)]) == 2
+        assert "model:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["series", "sweep"])
+    def test_dt_that_does_not_divide_t_max_exit_code_2(self, tmp_path, capsys, sweep):
+        # With t_max 1.0 and dt 0.3 a series would end at 0.9 and a sweep would sample every 1/3.
+        data = preset("fig6").to_dict()
+        data["params"]["n_cavities"] = 21
+        data["time"] = {"t_max": 1.0, "dt": 0.3}
+        if not sweep:
+            del data["sweep"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["--out", str(tmp_path / "out"), "--threads", "1", "run", str(path)]) == 2
+        assert "time.dt:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("time", "t_max", "abc"),
         ("initial", "site", "x"),

@@ -253,6 +253,17 @@ class TestEigenbasisPath:
         path = _assert_matches_dense(psi0, np.linspace(0.0, 20.0, 401), p, monkeypatch, caplog)
         assert path.startswith("dense (roots ") and path.endswith(" apart)")
 
+    def test_sum_rule_failure_runs_dense_kernel(self, fig3a_params, monkeypatch, caplog):
+        # As TestDecoupledAtom's guard test, for the arrowhead eigenbasis at g != 0.
+        p = fig3a_params.replace(n_cavities=21)
+        psi0 = initial_state_photon_at_site(1, p, "effective", "mode")
+        t_grid = np.linspace(0.0, 5.0, 101)
+        ref, _ = _evolve_on("dense", psi0, t_grid, p, monkeypatch, caplog)
+        monkeypatch.setattr(dynamics, "SUM_RULE_TOL", 0.0)
+        series, path = _evolve_on("default", psi0, t_grid, p, monkeypatch, caplog)
+        assert p.g != 0.0 and path.startswith("dense (sum rules off by ")
+        _assert_close(series, ref, tol=0.0, norm_tol=0.0)
+
     def test_decoupled_amplitudes_advance_by_their_factors(self, fig3a_params, monkeypatch, caplog):
         p = _with_coupling(fig3a_params, 0.0)
         psi0 = initial_state_photon_at_site(5, p, "effective", "mode")

@@ -144,15 +144,12 @@ def _reference_lindblad(h_real, kappa, d_index, sink_index, rho0, t_grid):
     return rho_out, np.trace(rho_out, axis1=1, axis2=2).real
 
 
-def _shifted_lindblad_hamiltonian(params, t_grid):
-    """The Hamiltonian shifted by the same centroid as ``lindblad_evolve``, with its grid spacing and n_sub."""
+def _lindblad_hamiltonian(params, t_grid):
+    """The lab-frame Hamiltonian of ``lindblad_evolve``, with its grid spacing and n_sub."""
     t_grid, dt_grid = check_time_grid(t_grid)
     h = _full_hermitian_hamiltonian(params)
-    levels = np.diag(h).real[D_IDX:]
-    h_shift = h - 0.5 * (levels.max() + levels.min()) * np.eye(h.shape[0])
-    h_shift[SINK, SINK] = 0.0
-    n_sub, _ = step_rule(2.0 * (np.linalg.norm(h_shift, 1) + params.kappa), dt_grid)
-    return h_shift, dt_grid, n_sub
+    n_sub, _ = step_rule(2.0 * (np.linalg.norm(h, 1) + params.kappa), dt_grid)
+    return h, dt_grid, n_sub
 
 
 def _assert_lindblad_matches_reference(rho0, t_grid, p, mixture=None):
@@ -162,8 +159,8 @@ def _assert_lindblad_matches_reference(rho0, t_grid, p, mixture=None):
     map is linear, so the reference is the same sum of pure references.
     """
     lb = lindblad_evolve(rho0, t_grid, p)
-    h_shift = _shifted_lindblad_hamiltonian(p, t_grid)[0]
-    rho_ref = sum(w * _reference_lindblad(h_shift, p.kappa, D_IDX, SINK, rho, t_grid)[0]
+    h = _lindblad_hamiltonian(p, t_grid)[0]
+    rho_ref = sum(w * _reference_lindblad(h, p.kappa, D_IDX, SINK, rho, t_grid)[0]
                   for w, rho in mixture or [(1.0, rho0.rho)])
     tr_ref = np.trace(rho_ref, axis1=1, axis2=2).real
     ref = [DensityMatrix(rho, p) for rho in rho_ref]
@@ -229,6 +226,29 @@ def test_lindblad_propagates_a_mixed_state(fig3a_params, case, monkeypatch, capl
     assert lb.final_rho.min_eigenvalue() >= -1e-12
 
 
+@pytest.mark.parametrize("path", ["eigenbasis", "horner"])
+def test_coherences_with_the_sink_keep_their_phase(fig3a_params, path, monkeypatch):
+    # psi = (|0,g> + photon at site 0) / sqrt(2).  The jump only feeds the sink's population, so
+    # rho(t) = U rho0 U^H plus the lost trace at the sink, U = expm(-i t H_eff) over the whole basis
+    # with |0,g> at energy 0; a shifted H would rotate the sink's row and column (0.31 off here).
+    if path == "horner":
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    p = fig3a_params.replace(n_cavities=21)
+    psi0 = np.zeros(p.n_cavities + 4, dtype=complex)
+    psi0[[SINK, 4]] = np.sqrt(0.5)  # index 4 is site 0, as in ``initial_density_matrix``
+    rho0 = np.outer(psi0, psi0.conj())
+    t_grid = np.linspace(0.0, 2.0, 21)
+    lb = lindblad_evolve(DensityMatrix(rho0, p), t_grid, p)
+    h_eff = _full_hermitian_hamiltonian(p)
+    h_eff[D_IDX, D_IDX] -= 0.5j * p.kappa
+    u = scipy.linalg.expm(-1j * t_grid[-1] * h_eff)
+    rho_ref = u @ rho0 @ u.conj().T
+    rho_ref[SINK, SINK] += 1.0 - np.trace(rho_ref).real
+    assert abs(rho_ref[4, SINK]) > 0.01  # the coherence is still there to be rotated
+    assert np.max(np.abs(lb.final_rho.rho[:, SINK] - rho_ref[:, SINK])) <= 1e-12
+    assert np.max(np.abs(lb.final_rho.rho - rho_ref)) <= 1e-12
+
+
 def test_horner_stages_reject_a_matrix_that_is_not_ring_and_atom(fig3a_params, monkeypatch):
     # The eigenbasis drops the sink's row and column, so an entry there must be refused on
     # both paths, before any work; this is the dense path's case.
@@ -247,7 +267,7 @@ def test_eigenbasis_rejects_an_entry_in_the_sink_row_or_column(fig3a_params, mon
     # Unchecked, this entry would be dropped: the output was byte-identical to the unmodified h's.
     monkeypatch.setattr(_kernels, "_sink_padded_eig", None)
     p = fig3a_params.replace(n_cavities=21)
-    h, delta, n_sub = _shifted_lindblad_hamiltonian(p, np.linspace(0.0, 2.0, 21))
+    h, delta, n_sub = _lindblad_hamiltonian(p, np.linspace(0.0, 2.0, 21))
     h[(SINK, D_IDX) if entry == "row" else (D_IDX, SINK)] = 5.0
     rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
     with pytest.raises(ValueError, match=r"sink row and column \(index 0\) must be zero"):
@@ -260,7 +280,7 @@ def test_horner_stages_honour_a_hop_across_the_ring(fig3a_params, monkeypatch):
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     p = fig3a_params.replace(n_cavities=21)
     t_grid = np.linspace(0.0, 2.0, 21)
-    ring, delta, n_sub = _shifted_lindblad_hamiltonian(p, t_grid)
+    ring, delta, n_sub = _lindblad_hamiltonian(p, t_grid)
     h = ring.copy()
     h[D_IDX + 3 + 5, D_IDX + 3 + 9] = h[D_IDX + 3 + 9, D_IDX + 3 + 5] = -0.1
     rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho

@@ -103,24 +103,25 @@ def test_bad_time_grid_rejected(small_params, propagate, t_grid, message):
 
 def test_non_finite_trace_names_the_step(small_params, monkeypatch):
     # STEP_FACTOR = 20 makes each Taylor step of the dense exponential 80 times too long: on
-    # this grid rho overflows to NaN, and the check after propagating names the steps.
+    # this grid rho overflows to NaN, and the check after propagating names the steps.  n_sub
+    # comes from the lab-frame H, whose norm holds the levels' energies, not only their spread.
     monkeypatch.setattr(dynamics, "STEP_FACTOR", 20.0)
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the overflow must not leak out
-        with pytest.raises(StepSizeTooLarge, match=r"non-finite \(n_sub 67, dt 0\.2985, 670 Taylor steps\)$"):
+        with pytest.raises(StepSizeTooLarge, match=r"non-finite \(n_sub 150, dt 0\.1333, 1500 Taylor steps\)$"):
             lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 200, 11), small_params)
 
 
 def test_trace_drift_names_the_step(small_params, monkeypatch):
     # A longer step over a short window: rho grows but stays finite.  The dense step conserves
-    # the trace by construction while P is contractive, as it still is here at STEP_FACTOR 20
-    # (n_sub 2); from STEP_FACTOR 33.3 up each grid interval is one Taylor step, and P grows rho.
-    monkeypatch.setattr(dynamics, "STEP_FACTOR", 40.0)
+    # the trace by construction only while P is contractive; at STEP_FACTOR 20 each Taylor step
+    # of the lab-frame H_eff has ||dt H_eff||_1 up to 10, and P grows rho.
+    monkeypatch.setattr(dynamics, "STEP_FACTOR", 20.0)
     monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
     psi0 = initial_state_photon_at_site(0, small_params, "full", "site")
-    with pytest.raises(TraceDrift, match=r"reached .* \(n_sub 1, dt 0\.5, 10 Taylor steps\)$"):
+    with pytest.raises(TraceDrift, match=r"reached .* \(n_sub 4, dt 0\.125, 40 Taylor steps\)$"):
         lindblad_evolve(initial_density_matrix(psi0, small_params), np.linspace(0, 5, 11), small_params)
 
 

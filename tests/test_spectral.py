@@ -455,6 +455,14 @@ class TestBranchCutRule:
         assert values.shape == (2, 3) and values.dtype == complex
         assert abs(values[1, 0] - value) <= 1e-10
 
+    def test_decoupled_atom_has_no_branch_cut(self, fig2_params):
+        # At g = 0 the photon never meets the atom, so the term is zero without a quadrature.
+        p = fig2_params.replace(g1=0.0, g2=0.0)
+        value = branch_cut_integral(3.0, p, 20.5 + 0j)
+        assert type(value) is complex and value == 0.0
+        values = branch_cut_integral(np.linspace(0.0, 5.0, 6).reshape(2, 3), p, 20.5 + 0j)
+        assert values.shape == (2, 3) and values.dtype == complex and not np.any(values)
+
     def test_level_cap_raises_naming_the_stage(self, fig2_params, monkeypatch):
         # t = 100 needs more than the first level.
         monkeypatch.setattr(spectral, "DE_LAST_LEVEL", spectral.DE_FIRST_LEVEL)
@@ -507,3 +515,14 @@ class TestLongTimeProbability:
         t_half = np.pi / bs.phi.real
         expected = 4.0 * abs(hi.pole_amplitude) ** 2 * abs(hi.residue_weight) ** 2
         assert long_time_probability(t_half, bs) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("e1, n_states", [(25.0 + 0j, 1), (20.0 + 0j, 0)], ids=["outside", "inside"])
+    def test_decoupled_atom_gives_zero(self, fig2_params, e1, n_states):
+        # At g = 0 the one state beyond the band (E1 outside it) is the atom alone, with pole
+        # amplitude 0; E1 inside the band leaves none.
+        bs = find_bound_states(fig2_params.replace(g1=0.0, g2=0.0), e1)
+        assert bs.n_roots == n_states
+        value = long_time_probability(3.0, bs)
+        assert type(value) is float and value == 0.0
+        values = long_time_probability(np.linspace(0.0, 5.0, 6), bs)
+        assert values.shape == (6,) and not np.any(values)

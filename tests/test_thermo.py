@@ -1,6 +1,10 @@
 import ctypes
+import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,6 @@ from qbsim.thermo import (
     ChargingScenario,
     _battery_rho,
     _excited_work,
-    _one_blas_thread,
     _work,
     battery_hamiltonian,
     ergotropy,
@@ -301,13 +304,33 @@ def _openblas_thread_counts() -> list[int]:
     return counts
 
 
+# Run in a fresh interpreter with OpenBLAS at 2 threads: forked workers inherit the parent's count,
+# and in the suite's own process it is already 1.  The stub in place of ergotropy_trace reports
+# the thread count of the worker that runs each cell as that cell's W_max.
+_WORKER_THREADS_SCRIPT = """
+import json
+from types import SimpleNamespace
+from qbsim import thermo
+from qbsim.presets import preset
+from test_thermo import _openblas_thread_counts
+
+parent = _openblas_thread_counts()
+thermo.ergotropy_trace = lambda scenario, t_grid: SimpleNamespace(w_max=max(_openblas_thread_counts(), default=0))
+cfg = preset("fig5")
+res = thermo.sweep_ergotropy(cfg.sweep_omega0[:20], [1.0], cfg.params, t_max=1.0, nt=2, n_workers=2)
+print(json.dumps([parent, sorted(set(res.w_max.ravel().tolist())), res.errors == {}]))
+"""
+
+
 def test_sweep_workers_use_one_blas_thread():
-    if not _openblas_thread_counts():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WORKER_THREADS_SCRIPT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    parent, workers, no_errors = json.loads(done.stdout)
+    if not parent:
         pytest.skip("no OpenBLAS thread-count symbol found")
-    pool = ProcessPoolExecutor(max_workers=2, initializer=_one_blas_thread)
-    try:
-        futures = [pool.submit(_openblas_thread_counts) for _ in range(2)]
-        reports = [f.result(timeout=60) for f in futures]
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    assert all(counts and set(counts) == {1} for counts in reports)
+    if set(parent) != {2}:
+        pytest.skip(f"OpenBLAS would not start 2 threads here: {parent}")
+    assert no_errors and workers == [1]
