@@ -424,7 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     out_dir = Path(args.out or os.environ.get("QBSIM_OUT") or "out")
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:

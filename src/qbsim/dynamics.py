@@ -22,7 +22,8 @@ full state.
 
 The effective model's even H is an arrowhead matrix: E1 coupled by real
 c_k to the (N+1)/2 distinct mode energies.  Its eigenvalues lambda_j are
-``spectral.even_sector_roots``, its eigenvectors v_j = (1, c_k/(lambda_j -
+``spectral.even_sector_roots`` (whose interior roots a sweep solves for a
+chunk of cells at once), its eigenvectors v_j = (1, c_k/(lambda_j -
 omega_k)), and psi0 = sum_j r_j v_j with r_j = v_j^T psi0 / v_j^T v_j (H is
 complex symmetric, so v_j^T are the left eigenvectors).  Sample i is then
 psi = V (r o G^i), G_j = exp(-i Delta (lambda_j - centroid)) for the grid
@@ -258,18 +259,43 @@ def step_rule(a_norm: float, dt_grid: float) -> tuple[int, float]:
     return n_sub, dt_grid / n_sub
 
 
-def _even_eigenbasis(params: SystemParams, e1: complex, coupling: np.ndarray, levels: np.ndarray,
-                     centroid: float, psi: np.ndarray):
+def _check_gain(atom_block: np.ndarray, t_end: float) -> None:
+    """Raise StepSizeTooLarge if the atom block's gain could grow norm^2 by t_end (module docstring)."""
+    gain = 2.0 * np.linalg.eigvalsh(0.5j * (atom_block.conj().T - atom_block)).max() * t_end
+    if gain > math.log1p(NORM_GROWTH_TOL):
+        raise StepSizeTooLarge(
+            f"the atom block has gain: norm^2 may grow by a factor exp({gain:.4g}) by t = {t_end:.4g}, "
+            f"above 1 + NORM_GROWTH_TOL = 1 + {NORM_GROWTH_TOL:g}")
+
+
+def _check_norm(norm2: np.ndarray, steps: str) -> None:
+    """Raise StepSizeTooLarge if the sampled norm^2 is not finite or grew above its start."""
+    if not np.all(np.isfinite(norm2)) or norm2.max() > norm2[0] * (1.0 + NORM_GROWTH_TOL):
+        raise StepSizeTooLarge(f"norm^2 grew from {norm2[0]:.6g} to {norm2.max():.6g} ({steps})")
+
+
+def _even_blocks(params: SystemParams, model: str, e1: complex | None):
+    """``hamiltonian_blocks``' even blocks and the centroid of the even H's diagonal."""
+    atom_block, coupling, even_levels = hamiltonian_blocks(params, model, "even", e1)
+    levels = np.r_[np.diag(atom_block).real, even_levels.real]
+    return atom_block, coupling, even_levels, 0.5 * (levels.max() + levels.min())
+
+
+def _even_eigenbasis(params: SystemParams, atom_block: np.ndarray, coupling: np.ndarray,
+                     even_levels: np.ndarray, centroid: float, psi: np.ndarray,
+                     interior: np.ndarray | None = None):
     """(lambda - centroid, V, r) of the effective model's even H, and the path for the log.
 
-    ``coupling`` holds the real c_k and ``levels`` omega_k - omega0 of the
-    even modes.  Column j of V is v_j = (1, c_k/(lambda_j - omega_k)), and
-    psi = V r.  Returns (None, "dense (...)") naming the first guard that
-    fails (module docstring).
+    Takes the effective model's ``_even_blocks``; ``interior`` passes the
+    interior roots on to ``spectral.even_sector_roots`` when a sweep has
+    solved them for a batch of cells.  Column j of V is v_j = (1,
+    c_k/(lambda_j - omega_k)), and psi = V r.  Returns (None, "dense
+    (...)") naming the first guard that fails (module docstring).
     """
-    dim = len(psi)
+    dim, e1 = len(psi), complex(atom_block[0, 0])
+    coupling, levels = coupling[0].real, even_levels.real - params.omega0  # c_k, omega_k - omega0
     try:
-        lam = spectral.even_sector_roots(params, e1)
+        lam = spectral.even_sector_roots(params, e1, interior)
     except NoConvergence as exc:
         return None, f"dense ({exc})"
     gap = np.abs(lam[:, None] - lam)  # every pair: a repeated root need not be a neighbour
@@ -375,15 +401,9 @@ def evolve(
 
     psi_mode = psi0.to_representation("mode", params)
     even0, odd0 = _split_parity(psi_mode.photon)
-    atom_block, coupling, even_levels = hamiltonian_blocks(params, psi0.model, "even", e1)
+    atom_block, coupling, even_levels, centroid = _even_blocks(params, psi0.model, e1)
     # The mode levels and couplings are real: only the atom block can add norm (module docstring).
-    gain = 2.0 * np.linalg.eigvalsh(0.5j * (atom_block.conj().T - atom_block)).max() * t_grid[-1]
-    if gain > math.log1p(NORM_GROWTH_TOL):
-        raise StepSizeTooLarge(
-            f"the atom block has gain: norm^2 may grow by a factor exp({gain:.4g}) by t = {t_grid[-1]:.4g}, "
-            f"above 1 + NORM_GROWTH_TOL = 1 + {NORM_GROWTH_TOL:g}")
-    levels = np.r_[np.diag(atom_block).real, even_levels.real]
-    centroid = 0.5 * (levels.max() + levels.min())
+    _check_gain(atom_block, t_grid[-1])
     # Amplitudes that couple to nothing advance by their own exponentials: the odd
     # modes, and at g = 0 the even modes too.
     free, free_shift = odd0, even_levels[1:].real - centroid
@@ -398,8 +418,7 @@ def evolve(
         if basis is not None:
             free, free_shift = np.concatenate([even0, free]), np.concatenate([even_shift, free_shift])
     elif psi0.model == "effective":
-        basis, path = _even_eigenbasis(params, complex(atom_block[0, 0]), coupling[0].real,
-                                       even_levels.real - params.omega0, centroid, psi_init)
+        basis, path = _even_eigenbasis(params, atom_block, coupling, even_levels, centroid, psi_init)
     t_roots = time.perf_counter()
     stages = [] if path == "dense (full model)" else [f"roots {t_roots - t0:.4f} s"]
     if basis is None:
@@ -418,8 +437,7 @@ def evolve(
     norm2 = norm2 + np.vdot(free, free).real
     logger.debug("evolve %s/%s: dim %d, %s; %s; %s; even dim %d", psi0.model, psi0.representation,
                  na + params.n_cavities, steps, ", ".join(stages), path, len(psi_init))
-    if not np.all(np.isfinite(norm2)) or norm2.max() > norm2[0] * (1.0 + NORM_GROWTH_TOL):
-        raise StepSizeTooLarge(f"norm^2 grew from {norm2[0]:.6g} to {norm2.max():.6g} ({steps})")
+    _check_norm(norm2, steps)
 
     if psi0.model == "effective":
         p_dark = np.abs(atom_amps[:, 0]) ** 2

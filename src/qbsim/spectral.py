@@ -49,7 +49,8 @@ pole-free phase equation
     R(theta) = 2 xi sin(theta) (omega0 + 2 xi cos(theta) - E1)/g^2,
 
 with phi in (-pi/2, pi/2): one root between each pair of neighbouring
-modes, which sit at theta = (2 m -+ 1) pi/N.  The two outer roots are the
+modes, which sit at theta = (2 m -+ 1) pi/N; ``interior_roots`` solves it
+with a leading axis of cells (omega0, xi).  The two outer roots are the
 finite-N roots above.
 
 The branch-cut term is the integral over the band of a density C(x)
@@ -111,6 +112,7 @@ __all__ = [
     "discrete_lattice_sum",
     "find_bound_states",
     "even_sector_roots",
+    "interior_roots",
     "branch_cut_integrand",
     "branch_cut_integral",
     "analytic_amplitude",
@@ -355,25 +357,22 @@ def _lattice_root(params: SystemParams, e1: complex, location: str,
     return root, steps, bisections
 
 
-def even_sector_roots(params: SystemParams, e1: complex) -> np.ndarray:
-    """Every eigenvalue lambda of the effective model's parity-even H at E1, as lambda - omega0.
+def interior_roots(omega0, xi, e1: complex, g: float, n: int) -> np.ndarray:
+    """The interior roots lambda - omega0 of the phase equation, a row per cell (omega0, xi).
 
-    The (N + 3)/2 roots of lambda = E1 + Sigma(lambda) in descending order
-    of their real parts: the finite-N root above the band, the (N - 1)/2
-    interior roots of the phase equation (module docstring), m = 1 ..
-    (N - 1)/2, and the root below the band.  The interior roots come from a
-    vectorised Newton in phi from phi = 0 that bisects whenever a step leaves
-    the bracket: (-pi/2, pi/2) for Re phi, narrowed by the sign of the
-    residual for real E1.  It stops once theta moves by at most PHASE_TOL.
-    The outer two are ``_lattice_root``'s, found as in ``find_bound_states``.
-    Needs g > 0.  Raises NoConvergence if a search fails.
+    A vectorised Newton in phi from phi = 0 that bisects whenever a step
+    leaves the bracket: (-pi/2, pi/2) for Re phi, narrowed by the sign of
+    the residual for real E1.  A cell stops once its theta moves by at most
+    PHASE_TOL, so its row is bit-identical to a lone call.  Raises
+    NoConvergence if a search fails.
     """
-    e1 = complex(e1)
-    n, xi, g2 = params.n_cavities, params.xi, params.g**2
+    g2 = g**2
     m = np.arange(1, (n - 1) // 2 + 1)
-    a = params.omega0 - (e1 if e1.imag else e1.real)
-    phi = np.zeros(len(m), dtype=np.result_type(a, float))
-    lo, hi = np.full(len(m), -0.5 * math.pi), np.full(len(m), 0.5 * math.pi)
+    xi = np.asarray(xi, dtype=float)[:, None]
+    a = np.asarray(omega0, dtype=float)[:, None] - (e1 if e1.imag else e1.real)
+    phi = np.zeros((len(a), len(m)), dtype=a.dtype)
+    lo, hi = np.full(phi.shape, -0.5 * math.pi), np.full(phi.shape, 0.5 * math.pi)
+    active = np.ones((len(a), 1), dtype=bool)
     for _ in range(NEWTON_MAXITER):
         theta = (2.0 * math.pi * m + 2.0 * phi) / n
         sin, cos = np.sin(theta), np.cos(theta)
@@ -386,16 +385,34 @@ def even_sector_roots(params: SystemParams, e1: complex) -> np.ndarray:
             # Real E1: f(-pi/2) <= 0 <= f(pi/2) with one root between (one
             # eigenvalue between neighbouring poles), so f's sign tells its side.
             hi, lo = np.where(f > 0.0, phi, hi), np.where(f > 0.0, lo, phi)
-        phi = phi - step
-        moving = np.abs(step) > PHASE_TOL * (0.5 * n)  # theta = (2 m pi + 2 phi)/N moves by 2 step/N
-        if not moving.any():
+        phi = np.where(active, phi - step, phi)
+        moving = active & (np.abs(step) > PHASE_TOL * (0.5 * n))  # theta moves by 2 step/N
+        active = moving.any(axis=1, keepdims=True)
+        if not active.any():
             break
         # A converged root may land on its own bracket end: only moving ones bisect.
         outside = moving & ((phi.real < lo) | (phi.real > hi))
         phi.real[outside] = 0.5 * (lo + hi)[outside]
     else:
-        raise NoConvergence("in_band", f"phase equation: |step| {np.max(np.abs(step)):.3e} "
+        raise NoConvergence("in_band", f"phase equation: |step| {np.max(np.abs(step[active[:, 0]])):.3e} "
                                        f"after {NEWTON_MAXITER} Newton steps")
+    return 2.0 * xi * np.cos((2.0 * math.pi * m + 2.0 * phi) / n)
+
+
+def even_sector_roots(params: SystemParams, e1: complex, interior: np.ndarray | None = None) -> np.ndarray:
+    """Every eigenvalue lambda of the effective model's parity-even H at E1, as lambda - omega0.
+
+    The (N + 3)/2 roots of lambda = E1 + Sigma(lambda) in descending order
+    of their real parts: the finite-N root above the band, the (N - 1)/2
+    interior roots of the phase equation (module docstring), m = 1 ..
+    (N - 1)/2, from ``interior_roots`` unless a batch passes them, and the
+    root below the band.  The outer two are ``_lattice_root``'s, found as in
+    ``find_bound_states``.  Needs g > 0.  Raises NoConvergence if a search fails.
+    """
+    e1 = complex(e1)
+    n, g2 = params.n_cavities, params.g**2
+    if interior is None:
+        interior = interior_roots([params.omega0], [params.xi], e1, params.g, n)[0]
     below, above_point, _ = _continuum_points(params, e1.real)
     outer = []
     for location, point in (("above_band", above_point), ("below_band", below)):
@@ -409,7 +426,6 @@ def even_sector_roots(params: SystemParams, e1: complex) -> np.ndarray:
     weights = (g2 / n) * np.r_[1.0, np.full(n // 2, 2.0)][:, None]
     pole = weights / (outer - levels[:, None])
     outer -= (outer - (e1 - params.omega0) - pole.sum(axis=0)) / (1.0 + (pole * pole / weights).sum(axis=0))
-    interior = 2.0 * xi * np.cos((2.0 * math.pi * m + 2.0 * phi) / n)
     return np.concatenate([outer[:1], interior, outer[1:]]).astype(complex)
 
 

@@ -14,18 +14,32 @@ eps0 <= eps1 the two lowest eigenvalues of H_B (Allahverdyan, Balian &
 Nieuwenhuizen, EPL 67 (2004) 565): one 4 x 4 ``eigvalsh`` per trace instead
 of one per sample.  ``ergotropy`` of an arbitrary state keeps the
 ``eigvalsh`` of ``_work``.
+
+``sweep_ergotropy`` runs chunks of SWEEP_CHUNK cells, contiguous in (xi,
+omega0) order.  A chunk checks the time grid and computes E1 with its gain
+check, the initial state's parity split, the dark vector and the battery
+levels once, and every cell's interior roots in one ``spectral.interior_roots``
+call; each cell's outer roots, guards, samples, norm^2 check and W then run
+through the functions ``evolve`` and ``ergotropy_trace`` use.  A cell whose
+guard fails, and every cell of a chunk whose set-up or batch raises, runs
+through ``ergotropy_trace``.
 """
 
 from __future__ import annotations
 
 import ctypes
+import logging
+import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import evolve, initial_state
+from . import spectral
+from .dynamics import (_check_gain, _check_norm, _eigenbasis_samples, _even_blocks, _even_eigenbasis,
+                       _split_parity, check_time_grid, evolve, initial_state)
 from .errors import NotNormalizable, QbsimError
 from .model import atom_hamiltonian, dark_state_vector
 from .params import SystemParams
@@ -41,6 +55,12 @@ __all__ = [
     "ergotropy_trace",
     "sweep_ergotropy",
 ]
+
+#: Cells per task of ``sweep_ergotropy`` (module docstring): a fraction of a fig5
+#: column, so that the workers of a sweep of a few columns finish together.
+SWEEP_CHUNK = 16
+
+logger = logging.getLogger("qbsim.thermo")
 
 
 @dataclass(frozen=True)
@@ -130,13 +150,15 @@ def _work(rho: np.ndarray, h_battery: np.ndarray, eps: np.ndarray) -> np.ndarray
     return active - _passive_populations(rho) @ eps
 
 
-def _excited_work(a: np.ndarray, h_battery: np.ndarray) -> np.ndarray:
+def _excited_work(a: np.ndarray, h_battery: np.ndarray, eps: np.ndarray | None = None) -> np.ndarray:
     """``_work`` of the states (1 - p)|g><g| + |a><a|, p = |a|^2, for excited amplitudes a (..., 3).
 
     Their populations are {1 - p, p, 0, 0}, so for 0 <= p <= 1
-    W = <a|H_B|a> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1.
+    W = <a|H_B|a> - max(p, 1 - p) eps0 - min(p, 1 - p) eps1, with ``eps``
+    the ascending eigenvalues of H_B (computed here if not given).
     """
-    eps = np.linalg.eigvalsh(h_battery)
+    if eps is None:
+        eps = np.linalg.eigvalsh(h_battery)
     a_conj = a.conj()
     p = (a_conj * a).real.sum(axis=-1)
     trace = (1.0 - p) + p
@@ -208,17 +230,54 @@ class SweepResult:
     errors: dict = field(default_factory=dict)
 
 
-def _sweep_cell(args) -> tuple[int, int, float, str]:
-    i, j, params_base, omega0, xi, photon_site, t_max, nt = args
+def _sweep_chunk(task) -> list[tuple[int, int, float, str]]:
+    """(i, j, W_max, error) of each cell of a chunk (module docstring)."""
+    cells, params_base, photon_site, t_max, nt = task
+    t_grid, dt_grid = check_time_grid(np.linspace(0.0, t_max, nt))
+    t0, out, todo = time.perf_counter(), [], []
+    for i, j, omega0, xi in cells:
+        try:
+            todo.append((i, j, params_base.replace(omega0=omega0, xi=xi)))
+        except QbsimError as exc:
+            out.append((i, j, float("nan"), str(exc)))
+    paths, interior, reason = Counter(["failed"] * len(out)), None, "evolve (g = 0)"
     try:
-        params = params_base.replace(omega0=float(omega0), xi=float(xi))
-        trace = ergotropy_trace(
-            ChargingScenario(params=params, photon_site=photon_site),
-            np.linspace(0.0, t_max, nt),
-        )
-        return i, j, trace.w_max, ""
+        atom_block = _even_blocks(params_base, "effective", None)[0]
+        _check_gain(atom_block, t_grid[-1])
+        psi0 = initial_state(params_base, "effective", photon_site)
+        even0, odd0 = _split_parity(psi0.photon)
+        psi_init, odd_norm2 = np.concatenate([psi0.atom, even0]), np.vdot(odd0, odd0).real
+        e1, dark, h_b = complex(atom_block[0, 0]), dark_state_vector(params_base), battery_hamiltonian(params_base)
+        eps = np.linalg.eigvalsh(h_b)
+        if params_base.g != 0.0:  # at g = 0 evolve takes the atom block's eigenbasis
+            interior = spectral.interior_roots([p.omega0 for *_, p in todo], [p.xi for *_, p in todo], e1,
+                                               params_base.g, params_base.n_cavities)
     except QbsimError as exc:
-        return i, j, float("nan"), str(exc)
+        reason = f"evolve ({exc})"
+    roots_s, samples_s = time.perf_counter() - t0, 0.0
+    for k, (i, j, params) in enumerate(todo):
+        t1, path = time.perf_counter(), reason
+        try:
+            if interior is not None:
+                basis, path = _even_eigenbasis(params, *_even_blocks(params, "effective", e1), psi_init, interior[k])
+            t2 = time.perf_counter()
+            roots_s += t2 - t1
+            if path != "eigenbasis":  # a guard failed, or the chunk has no roots
+                w = ergotropy_trace(ChargingScenario(params=params, photon_site=photon_site), t_grid).w_max
+            else:
+                amps, norm2, _ = _eigenbasis_samples(*basis, dt_grid, nt, 1)
+                _check_norm(norm2 + odd_norm2, f"exact steps of dt {dt_grid:.4g}")
+                w = float(_excited_work(amps[:, :1] * dark, h_b, eps).max())  # excited amplitudes u D
+                samples_s += time.perf_counter() - t2
+            out.append((i, j, w, ""))
+        except QbsimError as exc:
+            path = "failed"
+            out.append((i, j, float("nan"), str(exc)))
+        paths[path] += 1
+    logger.debug("sweep chunk: %d cells; %s; roots %.4f s, samples %.4f s, evolve %.4f s", len(cells),
+                 ", ".join(f"{n} {path}" for path, n in paths.items()), roots_s, samples_s,
+                 time.perf_counter() - t0 - roots_s - samples_s)
+    return out
 
 
 def _one_blas_thread() -> None:
@@ -258,25 +317,27 @@ def sweep_ergotropy(
     """W_max(omega0, xi) over the grid within the window [0, t_max].
 
     Every cell starts from a photon at cavity ``photon_site``, or from the
-    atom in |m> when it is None.
+    atom in |m> when it is None, in the effective model.
 
-    Cells run in parallel processes, each with one BLAS thread; a failing
+    Chunks of cells (module docstring) run in parallel processes with one
+    BLAS thread each, unless there is one chunk or one worker.  A failing
     cell records NaN plus its error message instead of aborting the sweep.
+    Each chunk logs its cell count, the count of each path and its seconds
+    on roots (with the set-up), on samples and in ``evolve`` at DEBUG level.
     """
     omega0_grid = np.asarray(omega0_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
-    tasks = []
-    for i, om0 in enumerate(omega0_grid):
-        for j, xi in enumerate(xi_grid):
-            tasks.append((i, j, params_base, float(om0), float(xi), photon_site, t_max, nt))
+    cells = [(i, j, float(om0), float(xi)) for j, xi in enumerate(xi_grid) for i, om0 in enumerate(omega0_grid)]
+    tasks = [(cells[start:start + SWEEP_CHUNK], params_base, photon_site, t_max, nt)
+             for start in range(0, len(cells), SWEEP_CHUNK)]
     w = np.full((len(omega0_grid), len(xi_grid)), np.nan)
     errors: dict = {}
     pool = (ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread)
-            if n_workers is None or n_workers > 1 else None)
+            if len(tasks) > 1 and (n_workers is None or n_workers > 1) else None)
     with pool or nullcontext():
-        cells = map(_sweep_cell, tasks) if pool is None else pool.map(_sweep_cell, tasks, chunksize=8)
-        for i, j, val, err in cells:
-            w[i, j] = val
-            if err:
-                errors[(i, j)] = err
+        for chunk in map(_sweep_chunk, tasks) if pool is None else pool.map(_sweep_chunk, tasks):
+            for i, j, val, err in chunk:
+                w[i, j] = val
+                if err:
+                    errors[(i, j)] = err
     return SweepResult(omega0_grid=omega0_grid, xi_grid=xi_grid, w_max=w, errors=errors)

@@ -239,6 +239,14 @@ print([m for m in sys.modules if 'scipy' in m])
         summary = json.loads((tmp_path / "fig4_summary.json").read_text())
         assert summary["r_abs_no_cavity"] >= 0.99 and summary["gamma"] > 0.0
 
+    @pytest.mark.parametrize("threads", ["-4", "0"])
+    def test_threads_below_one_exit_code_2(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "--threads", threads, "reproduce", "fig6"])
+        assert exc.value.code == 2
+        assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not tmp_path.joinpath("fig6_wmax_vs_xi.csv").exists()
+
     def test_reproduce_rejects_unknown_figure(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--out", str(tmp_path), "reproduce", "fig9"])

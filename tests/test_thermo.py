@@ -1,7 +1,9 @@
 import ctypes
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsim import SystemParams, atom_eigensystem_exact, dark_state_vector
+from qbsim import SystemParams, atom_eigensystem_exact, dark_state_vector, spectral, thermo
 from qbsim.dynamics import WaveFunction, evolve, initial_state_photon_at_site
-from qbsim.errors import NotNormalizable
+from qbsim.errors import NoConvergence, NotNormalizable, QbsimError
 from qbsim.model import dark_state_energy
 from qbsim.presets import preset
 from qbsim.thermo import (
@@ -277,12 +279,173 @@ class TestSweep:
 
     def test_unstable_step_recorded_not_raised(self, charger_params, monkeypatch):
         # An E1 with gain makes the norm grow at kappa > 0; evolve finds it from the atom
-        # block before propagating, and each cell records the error.
+        # block before propagating, and each cell of the chunk, which crosses a xi column,
+        # records the error.
         monkeypatch.setattr("qbsim.model.dark_state_energy", lambda params: dark_state_energy(params).conjugate())
-        res = sweep_ergotropy([21.2], [1.0, 2.2], charger_params, t_max=15.0, nt=4, n_workers=1)
+        res = sweep_ergotropy([21.2, 22.2], [1.0, 2.2], charger_params, t_max=15.0, nt=4, n_workers=1)
         assert np.all(np.isnan(res.w_max))
-        assert sorted(res.errors) == [(0, 0), (0, 1)]
+        assert sorted(res.errors) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(err.startswith("the atom block has gain: norm^2 may grow") for err in res.errors.values())
+
+
+def _sweep_logged(caplog, *args, **kwargs):
+    """``sweep_ergotropy`` at one worker, and the path field of each chunk's DEBUG line."""
+    caplog.set_level("DEBUG", logger="qbsim.thermo")
+    caplog.clear()
+    res = sweep_ergotropy(*args, n_workers=1, **kwargs)
+    return res, [r.getMessage().split("; ")[1] for r in caplog.records if r.name == "qbsim.thermo"]
+
+
+def _assert_cells_match_trace(res, params, t_max, nt, photon_site=1, tol=1e-12) -> float:
+    """Every cell's W_max against ``ergotropy_trace`` within ``tol`` (NaN where it raised); the worst gap."""
+    worst = 0.0
+    for (i, omega0), (j, xi) in itertools.product(enumerate(res.omega0_grid), enumerate(res.xi_grid)):
+        try:
+            ref = ergotropy_trace(ChargingScenario(params.replace(omega0=omega0, xi=xi), photon_site),
+                                  np.linspace(0.0, t_max, nt)).w_max
+        except QbsimError:
+            assert np.isnan(res.w_max[i, j]) and (i, j) in res.errors
+            continue
+        worst = max(worst, abs(res.w_max[i, j] - ref))
+    assert worst <= tol
+    return worst
+
+
+class TestSweepChunks:
+    # The chunk path against the per-cell reference, ergotropy_trace -> evolve.
+
+    @pytest.mark.parametrize("kappa", [4.0, 0.0], ids=["complex-E1", "real-E1"])
+    def test_batched_roots_equal_per_cell_roots(self, kappa):
+        # A chunk that crosses two xi columns: the last 8 cells of one and the first 8 of the next.
+        # Their Newton takes different step counts, so a row that went on updating after its
+        # roots stopped moving would differ in its last bits.
+        cfg = preset("fig5")
+        p = cfg.params.replace(kappa=kappa)
+        e1 = dark_state_energy(p)
+        omega0 = np.r_[cfg.sweep_omega0[-8:], cfg.sweep_omega0[:8]]
+        xi = np.repeat(cfg.sweep_xi[10:12], 8)
+        batched = spectral.interior_roots(omega0, xi, e1, p.g, p.n_cavities)
+        for row, om, x in zip(batched, omega0, xi):
+            assert np.array_equal(row, spectral.even_sector_roots(p.replace(omega0=om, xi=x), e1)[1:-1])
+
+    @pytest.mark.parametrize("n, photon_site", [(21, 1), (253, 1), (1001, 1), (253, None)],
+                             ids=["21", "253", "1001", "253-atom"])
+    def test_w_max_matches_ergotropy_trace(self, n, photon_site, caplog):
+        # omega0 on both sides of Re E1 (21.2), in one chunk across two xi columns.
+        p = preset("fig5").params.replace(n_cavities=n)
+        omega0 = [19.2, 20.7, 21.7, 23.2]
+        assert min(omega0) < dark_state_energy(p).real < max(omega0)
+        res, paths = _sweep_logged(caplog, omega0, [0.7, 1.7], p, t_max=15.0, nt=301, photon_site=photon_site)
+        assert paths == ["8 eigenbasis"] and not res.errors
+        worst = _assert_cells_match_trace(res, p, 15.0, 301, photon_site)
+        print(f"N = {n}, photon site {photon_site}: worst |W_max - ergotropy_trace| {worst:.3g}")
+
+    def test_batch_no_convergence_falls_back_per_cell(self, caplog):
+        # At g = 0.2 the phase Newton of the cell (21.2, 3.0) alone fails (|Im E1| >> g^2/xi):
+        # the chunk's batched Newton raises, and every cell runs through ergotropy_trace.
+        base = preset("fig5").params
+        p = base.replace(g1=0.2 * base.g1 / base.g, g2=0.2 * base.g2 / base.g)
+        e1 = dark_state_energy(p)
+        omega0, xi = [20.2, 21.2, 22.2], [1.0, 3.0]
+        failing = []
+        for om, x in itertools.product(omega0, xi):
+            try:
+                spectral.interior_roots([om], [x], e1, p.g, p.n_cavities)
+            except NoConvergence:
+                failing.append((om, x))
+        assert failing == [(21.2, 3.0)]
+        res, (path,) = _sweep_logged(caplog, omega0, xi, p, t_max=15.0, nt=301)
+        assert path.startswith("6 evolve (root search failed in region 'in_band': phase equation")
+        assert not res.errors
+        _assert_cells_match_trace(res, p, 15.0, 301)
+
+    @pytest.mark.parametrize("guard, expected", [("gap", "1 dense (roots 0 apart)"),
+                                                 ("sum_rules", "1 dense (sum rules off by ")],
+                             ids=["gap", "sum_rules"])
+    def test_failed_guard_falls_back_alone(self, charger_params, monkeypatch, caplog, guard, expected):
+        # Spoil the roots of the cell (21.2, 1.7) only, for the chunk path and ergotropy_trace alike:
+        # a repeated root trips the root gap, shifted roots the sum rules.
+        roots = spectral.even_sector_roots
+
+        def spoiled(params, e1, interior=None):
+            lam = roots(params, e1, interior)
+            if (params.omega0, params.xi) == (21.2, 1.7):
+                if guard == "gap":
+                    lam[2] = lam[1]
+                else:
+                    lam = lam + 1e-9
+            return lam
+
+        monkeypatch.setattr(spectral, "even_sector_roots", spoiled)
+        res, (path,) = _sweep_logged(caplog, [20.2, 21.2, 22.2], [0.7, 1.7], charger_params, t_max=15.0, nt=301)
+        assert "5 eigenbasis" in path and expected in path
+        assert not res.errors
+        _assert_cells_match_trace(res, charger_params, 15.0, 301)
+
+    def test_raising_cell_mid_chunk(self, charger_params, caplog):
+        # The xi < 0 column sits between two valid ones in the chunk's (xi, omega0) order.
+        res, (path,) = _sweep_logged(caplog, [20.2, 21.2, 22.2], [1.0, -1.0, 1.3], charger_params,
+                                     t_max=15.0, nt=301)
+        assert path == "3 failed, 6 eigenbasis"
+        assert np.all(np.isnan(res.w_max[:, 1])) and np.all(np.isfinite(res.w_max[:, [0, 2]]))
+        assert sorted(res.errors) == [(0, 1), (1, 1), (2, 1)]
+        assert all(err == "xi: must be > 0, got -1.0" for err in res.errors.values())
+        _assert_cells_match_trace(res, charger_params, 15.0, 301)
+
+    def test_chunk_debug_line(self, charger_params, caplog):
+        caplog.set_level("DEBUG", logger="qbsim.thermo")
+        sweep_ergotropy([20.2, 21.2, 22.2], [1.0, 1.3], charger_params, t_max=15.0, nt=301, n_workers=1)
+        (record,) = caplog.records
+        assert re.fullmatch(r"sweep chunk: 6 cells; 6 eigenbasis; roots \d\.\d{4} s, samples \d\.\d{4} s, "
+                            r"evolve \d\.\d{4} s", record.getMessage())
+
+    def test_uncoupled_chunk_runs_through_evolve(self, charger_params, caplog):
+        # At g = 0 there are no roots to batch: evolve takes each cell on the atom block's eigenbasis.
+        p = charger_params.replace(g1=0.0, g2=0.0)
+        res, paths = _sweep_logged(caplog, [20.2, 21.2], [1.0, 1.3], p, t_max=15.0, nt=301)
+        assert paths == ["4 evolve (g = 0)"] and not res.errors
+        _assert_cells_match_trace(res, p, 15.0, 301)
+
+    def test_one_chunk_starts_no_pool(self, charger_params, monkeypatch):
+        monkeypatch.setattr(thermo, "ProcessPoolExecutor", None)
+        res = sweep_ergotropy(np.linspace(20.2, 22.2, 8), [1.0, 1.3], charger_params, t_max=2.0, nt=41,
+                              n_workers=2)
+        assert np.all(np.isfinite(res.w_max))
+
+    def test_cells_go_in_chunks(self, charger_params, caplog):
+        # 2 x 9 cells in chunks of SWEEP_CHUNK, in (xi, omega0) order: the first chunk crosses the column.
+        res, paths = _sweep_logged(caplog, np.linspace(20.2, 22.2, 9), [1.0, 1.3], charger_params,
+                                   t_max=2.0, nt=41)
+        assert thermo.SWEEP_CHUNK == 16 and paths == ["16 eigenbasis", "2 eigenbasis"]
+        assert np.all(np.isfinite(res.w_max))
+
+
+class TestSweepRelations:
+    # ROADMAP item 17's relations on the chunk path, at 1e-12 relative.
+
+    def test_scaling(self, caplog):
+        # Every energy and rate times a, and t_max / a: W_max times a, on the same paths.
+        a = 3.7
+        p = preset("fig5").params
+        energies = ("omega0", "xi", "g1", "g2", "omega_p_rabi", "omega_c_rabi", "omega_d_real", "kappa",
+                    "omega_e_level", "omega_m_level", "delta_e")
+        scaled = p.replace(**{name: a * getattr(p, name) for name in energies})
+        omega0, xi = np.array([19.2, 21.2, 23.2]), np.array([0.7, 1.7])
+        res, paths = _sweep_logged(caplog, omega0, xi, p, t_max=15.0, nt=301)
+        res_a, paths_a = _sweep_logged(caplog, a * omega0, a * xi, scaled, t_max=15.0 / a, nt=301)
+        worst = np.max(np.abs(res_a.w_max / (a * res.w_max) - 1.0))
+        print(f"scaling by {a}: worst relative deviation of W_max {worst:.3g}")
+        assert worst <= 1e-12 and paths == paths_a == ["6 eigenbasis"]
+
+    def test_ring_reflection(self):
+        # A photon at site 1 and one at site N - 1 give the same W_max.
+        p = preset("fig5").params
+        grids = ([19.2, 21.2, 23.2], [0.7, 1.7])
+        near = sweep_ergotropy(*grids, p, t_max=15.0, nt=301, photon_site=1, n_workers=1)
+        far = sweep_ergotropy(*grids, p, t_max=15.0, nt=301, photon_site=p.n_cavities - 1, n_workers=1)
+        worst = np.max(np.abs(far.w_max / near.w_max - 1.0))
+        print(f"ring reflection: worst relative deviation of W_max {worst:.3g}")
+        assert worst <= 1e-12
 
 
 def _openblas_thread_counts() -> list[int]:
@@ -305,17 +468,21 @@ def _openblas_thread_counts() -> list[int]:
 
 
 # Run in a fresh interpreter with OpenBLAS at 2 threads: forked workers inherit the parent's count,
-# and in the suite's own process it is already 1.  The stub in place of ergotropy_trace reports
-# the thread count of the worker that runs each cell as that cell's W_max.
+# and in the suite's own process it is already 1.  The stub in place of _sweep_chunk, the function
+# each worker runs, reports the thread count of the worker that runs a chunk as its cells' W_max;
+# the 20 cells make 3 chunks, so the pool starts.
 _WORKER_THREADS_SCRIPT = """
 import json
-from types import SimpleNamespace
 from qbsim import thermo
 from qbsim.presets import preset
 from test_thermo import _openblas_thread_counts
 
+def chunk_threads(task):
+    threads = max(_openblas_thread_counts(), default=0)
+    return [(i, j, threads, "") for i, j, *_ in task[0]]
+
 parent = _openblas_thread_counts()
-thermo.ergotropy_trace = lambda scenario, t_grid: SimpleNamespace(w_max=max(_openblas_thread_counts(), default=0))
+thermo._sweep_chunk = chunk_threads
 cfg = preset("fig5")
 res = thermo.sweep_ergotropy(cfg.sweep_omega0[:20], [1.0], cfg.params, t_max=1.0, nt=2, n_workers=2)
 print(json.dumps([parent, sorted(set(res.w_max.ravel().tolist())), res.errors == {}]))
