@@ -31,7 +31,7 @@ from .analysis import fit_decay, median_peak_spacing
 from .dynamics import evolve, initial_state, initial_state_atom_m
 from .errors import ConfigError, QbsimError
 from .lindblad import initial_density_matrix, lindblad_evolve
-from .model import atom_eigensystem_exact, atom_eigensystem_perturbative, dark_state_vector
+from .model import atom_eigensystem_exact, atom_eigensystem_perturbative, dark_state_energy, dark_state_vector
 from .presets import PRESET_NAMES, ScenarioConfig, preset
 from .spectral import find_bound_states, long_time_probability
 from .thermo import ChargingScenario, ergotropy_trace, sweep_ergotropy
@@ -41,12 +41,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """One row per sample, every value as %.17g; a NaN (a value not computed) is an empty field."""
+def _write_csv(path: Path, header: list[str], columns: list) -> str:
+    """One row per sample, every value as %.17g, a NaN (not computed) as an empty field; returns the file name."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines((row % values).replace("nan", "") for values in zip(*columns))
+    return path.name
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -62,13 +63,13 @@ def _sweep(cfg: ScenarioConfig, threads: int):
     initial state, over its window sampled every cfg.dt."""
     return sweep_ergotropy(cfg.sweep_omega0 or (cfg.params.omega0,), cfg.sweep_xi or (cfg.params.xi,),
                            cfg.params, t_max=cfg.t_max,
-                           nt=int(round(cfg.t_max / cfg.dt)) + 1,
+                           nt=len(cfg.time_grid()),
                            photon_site=cfg.photon_site, n_workers=threads)
 
 
-def _write_wmax_grid(path: Path, res) -> None:
+def _write_wmax_grid(path: Path, res) -> str:
     om, xi = np.meshgrid(res.omega0_grid, res.xi_grid, indexing="ij")
-    _write_csv(path, ["omega0", "xi", "w_max"], [om.ravel(), xi.ravel(), res.w_max.ravel()])
+    return _write_csv(path, ["omega0", "xi", "w_max"], [om.ravel(), xi.ravel(), res.w_max.ravel()])
 
 
 # -- figure reproduction ---------------------------------------------------------
@@ -86,9 +87,9 @@ def _reproduce_fig2(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
         above.append(hi.energy.real if hi is not None and hi.significant else np.nan)
         counts.append(bs.count)
     counts = np.array(counts)
-    _write_csv(out / "fig2_bound_states.csv",
-               ["e1", "bound_below", "bound_above", "count"],
-               [e1_grid, below, above, counts])
+    csv = _write_csv(out / "fig2_bound_states.csv",
+                     ["e1", "bound_below", "bound_above", "count"],
+                     [e1_grid, below, above, counts])
     inside = (e1_grid > params.band_lower) & (e1_grid < params.band_upper)
     summary = {
         "figure": "fig2",
@@ -96,7 +97,7 @@ def _reproduce_fig2(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
         "n_points": len(e1_grid),
         "count_inside": sorted(set(counts[inside].tolist())),
         "count_outside": sorted(set(counts[~inside].tolist())),
-        "files": ["fig2_bound_states.csv"],
+        "files": [csv],
     }
     return summary
 
@@ -104,14 +105,14 @@ def _reproduce_fig2(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
 def _fig3_series(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     name = cfg.label
     params = cfg.params
-    e1 = atom_eigensystem_exact(params).dark_energy
+    e1 = dark_state_energy(params)
     psi0 = initial_state(params, "effective", cfg.photon_site)
     series = evolve(psi0, cfg.time_grid(), params, e1=e1)
     bs = find_bound_states(params, e1)
     p_an = long_time_probability(series.times, bs)
-    _write_csv(out / f"{name}_dark_population.csv",
-               ["t", "p_numeric", "p_analytic"],
-               [series.times, series.p_dark, p_an])
+    csv = _write_csv(out / f"{name}_dark_population.csv",
+                     ["t", "p_numeric", "p_analytic"],
+                     [series.times, series.p_dark, p_an])
     late = series.times >= 20.0
     summary = {
         "figure": name,
@@ -123,7 +124,7 @@ def _fig3_series(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
         ],
         "count": bs.count,
         "max_p_dark": float(series.p_dark.max()),
-        "files": [f"{name}_dark_population.csv"],
+        "files": [csv],
     }
     if bs.n_roots == 2:
         summary["phi"] = _c(bs.phi)
@@ -149,13 +150,12 @@ def _reproduce_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     series0 = evolve(initial_state_atom_m(bare, "full"), t_grid, bare)
     fit_gamma = fit_decay(series0.times, series0.p_dark, t_min=10.0)
 
-    _write_csv(out / "fig4_envelopes.csv",
-               ["t", "p_two_bound_states", "p_no_cavity"],
-               [t_grid, series.p_dark, series0.p_dark])
-    e1 = atom_eigensystem_exact(params).dark_energy
+    csv = _write_csv(out / "fig4_envelopes.csv",
+                     ["t", "p_two_bound_states", "p_no_cavity"],
+                     [t_grid, series.p_dark, series0.p_dark])
     summary = {
         "figure": "fig4",
-        "e1": _c(e1),
+        "e1": _c(dark_state_energy(params)),
         "kappa": params.kappa,
         "kappa_prime": fit_two.rate,
         "r_abs_two_bound": fit_two.r_abs,
@@ -164,15 +164,15 @@ def _reproduce_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
         "r_abs_no_cavity": fit_gamma.r_abs,
         "gamma_over_kappa_prime": fit_gamma.rate / fit_two.rate,
         "kappa_over_kappa_prime": params.kappa / fit_two.rate,
-        "files": ["fig4_envelopes.csv"],
+        "files": [csv],
     }
     return summary
 
 
 def _reproduce_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     res = _sweep(cfg, threads)
-    _write_wmax_grid(out / "fig5_wmax_grid.csv", res)
-    re_e1 = atom_eigensystem_exact(cfg.params).dark_energy.real
+    csv = _write_wmax_grid(out / "fig5_wmax_grid.csv", res)
+    re_e1 = dark_state_energy(cfg.params).real
     argmax_omega0 = res.omega0_grid[np.nanargmax(res.w_max, axis=0)]
     step = float(res.omega0_grid[1] - res.omega0_grid[0])
     summary = {
@@ -182,7 +182,7 @@ def _reproduce_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
         "argmax_omega0_per_xi": argmax_omega0.tolist(),
         "max_abs_offset_from_e1": float(np.max(np.abs(argmax_omega0 - re_e1))),
         "n_failed_cells": len(res.errors),
-        "files": ["fig5_wmax_grid.csv"],
+        "files": [csv],
     }
     return summary
 
@@ -191,7 +191,7 @@ def _reproduce_fig6(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
     res = _sweep(cfg, threads)
     w = res.w_max[0]
     xi = res.xi_grid
-    _write_csv(out / "fig6_wmax_vs_xi.csv", ["xi", "w_max"], [xi, w])
+    csv = _write_csv(out / "fig6_wmax_vs_xi.csv", ["xi", "w_max"], [xi, w])
     k = int(np.nanargmax(w))
     argmax_xi = float(xi[k])
     if 0 < k < len(xi) - 1:
@@ -201,13 +201,13 @@ def _reproduce_fig6(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
             argmax_xi = float(xi[k] + 0.5 * (xi[k] - xi[k - 1]) * (y0 - y2) / denom)
     summary = {
         "figure": "fig6",
-        "e1": _c(atom_eigensystem_exact(cfg.params).dark_energy),
+        "e1": _c(dark_state_energy(cfg.params)),
         "argmax_xi_grid": float(xi[k]),
         "argmax_xi": argmax_xi,
         "w_max_at_peak": float(w[k]),
         "rises_then_falls": bool(w[0] < w[k] and w[-1] < w[k]),
         "n_failed_cells": len(res.errors),
-        "files": ["fig6_wmax_vs_xi.csv"],
+        "files": [csv],
     }
     return summary
 
@@ -229,9 +229,9 @@ def _reproduce_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
             "peak_time": float(t_grid[k]),
             "plateau": float(np.mean(tr.power[-max(len(t_grid) // 10, 2):])),
         })
-    _write_csv(out / "fig7_power_map.csv",
-               ["xi", "t", "power"],
-               [np.concatenate(xi_col), np.concatenate(t_col), np.concatenate(p_col)])
+    csv = _write_csv(out / "fig7_power_map.csv",
+                     ["xi", "t", "power"],
+                     [np.concatenate(xi_col), np.concatenate(t_col), np.concatenate(p_col)])
     peaks = np.array([row["peak_power"] for row in per_xi])
     kbest = int(np.argmax(peaks))
     summary = {
@@ -239,7 +239,7 @@ def _reproduce_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> dict:
         "per_xi": per_xi,
         "global_peak_xi": per_xi[kbest]["xi"],
         "global_peak_interior": bool(0 < kbest < len(per_xi) - 1),
-        "files": ["fig7_power_map.csv"],
+        "files": [csv],
     }
     return summary
 
@@ -273,51 +273,52 @@ def run_custom(cfg: ScenarioConfig, out_dir: Path, threads: int) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     label = cfg.label or "scenario"
     params = cfg.params
+    series_path = out_dir / f"{label}_series.csv"
     if cfg.sweep_omega0 is not None or cfg.sweep_xi is not None:
         res = _sweep(cfg, threads)
-        _write_wmax_grid(out_dir / f"{label}_wmax.csv", res)
+        csv = _write_wmax_grid(out_dir / f"{label}_wmax.csv", res)
         summary = {
             "label": label,
             "kind": "sweep",
             "n_cells": int(res.w_max.size),
             "n_failed_cells": len(res.errors),
             "w_max_global": float(np.nanmax(res.w_max)),
-            "files": [f"{label}_wmax.csv"],
+            "files": [csv],
         }
     elif cfg.model == "analytic":
-        e1 = atom_eigensystem_exact(params).dark_energy
+        e1 = dark_state_energy(params)
         bs = find_bound_states(params, e1)
         t_grid = cfg.time_grid()
         p = long_time_probability(t_grid, bs)
-        _write_csv(out_dir / f"{label}_series.csv", ["t", "p_dark"], [t_grid, p])
+        csv = _write_csv(series_path, ["t", "p_dark"], [t_grid, p])
         summary = {
             "label": label, "kind": "analytic", "e1": _c(e1), "count": bs.count,
-            "files": [f"{label}_series.csv"],
+            "files": [csv],
         }
         if bs.n_roots == 2:
             summary["phi"] = _c(bs.phi)
     elif cfg.model == "lindblad":
         rho0 = initial_density_matrix(initial_state(params, "full", cfg.photon_site), params)
         series = lindblad_evolve(rho0, cfg.time_grid(), params)
-        _write_csv(out_dir / f"{label}_series.csv",
-                   ["t", "p_dark", "trace"],
-                   [series.times, series.p_dark, series.norm2])
+        csv = _write_csv(series_path,
+                         ["t", "p_dark", "trace"],
+                         [series.times, series.p_dark, series.norm2])
         summary = {
             "label": label, "kind": "lindblad",
             "final_trace": float(series.norm2[-1]),
             "max_p_dark": float(series.p_dark.max()),
-            "files": [f"{label}_series.csv"],
+            "files": [csv],
         }
     else:
         series = evolve(initial_state(params, cfg.model, cfg.photon_site), cfg.time_grid(), params)
-        _write_csv(out_dir / f"{label}_series.csv",
-                   ["t", "p_dark", "norm2"],
-                   [series.times, series.p_dark, series.norm2])
+        csv = _write_csv(series_path,
+                         ["t", "p_dark", "norm2"],
+                         [series.times, series.p_dark, series.norm2])
         summary = {
             "label": label, "kind": cfg.model,
             "final_norm2": float(series.norm2[-1]),
             "max_p_dark": float(series.p_dark.max()),
-            "files": [f"{label}_series.csv"],
+            "files": [csv],
         }
     _write_summary(out_dir / f"{label}_summary.json", summary)
     return summary
@@ -325,7 +326,7 @@ def run_custom(cfg: ScenarioConfig, out_dir: Path, threads: int) -> dict:
 
 def run_bound_states(cfg: ScenarioConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    e1 = atom_eigensystem_exact(cfg.params).dark_energy
+    e1 = dark_state_energy(cfg.params)
     bs = find_bound_states(cfg.params, e1)
     summary = {
         "label": cfg.label or "scenario",
@@ -375,8 +376,8 @@ def run_fit_decay(series_path: Path, out_dir: Path) -> dict:
     names = data.dtype.names
     if names is None or len(names) < 2:
         raise ConfigError("series", "need a CSV with a header and at least two columns")
-    t = np.asarray(data[names[0]], dtype=float)
-    y = np.asarray(data[names[1]], dtype=float)
+    # One data row reads as 0-d columns.
+    t, y = (np.atleast_1d(np.asarray(data[name], dtype=float)) for name in names[:2])
     fit = fit_decay(t, y, t_min=10.0)
     summary = {
         "series": str(series_path),

@@ -54,6 +54,10 @@ class TestFitExponential:
         with pytest.raises(NonPositivePeak):
             fit_exponential([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.0, 0.1])
 
+    def test_one_point_raises(self):
+        with pytest.raises(TooFewPeaks, match="need at least 2 points to fit, got 1"):
+            fit_exponential([1.0], [0.5])
+
 
 class TestFitDecay:
     def test_monotone_series_uses_raw_samples(self):

@@ -264,6 +264,14 @@ print([m for m in sys.modules if 'scipy' in m])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, got", [("", 0), ("20,0.5\n", 1)], ids=["header_only", "one_row"])
+    def test_fit_decay_too_short_exit_code_3(self, tmp_path, capsys, rows, got):
+        # One data row reads as 0-d columns, which must fail like an empty series.
+        csv = tmp_path / "short.csv"
+        csv.write_text("t,p\n" + rows)
+        assert main(["--out", str(tmp_path / "out"), "fit-decay", str(csv)]) == 3
+        assert f"need at least 2 points to fit, got {got}" in capsys.readouterr().err
+
     def test_run_full_and_lindblad_models(self, tmp_path, capsys):
         base = preset("fig3a")
         for model in ("full", "lindblad"):

@@ -40,6 +40,12 @@ def test_jump_to_ground_equals_non_hermitian(small_params):
     assert np.max(np.abs(block - np.outer(psi_t, psi_t.conj()))) <= 1e-8
 
 
+def test_effective_model_state_rejected(small_params):
+    psi0 = initial_state_photon_at_site(0, small_params, "effective", "site")
+    with pytest.raises(ValueError, match="the Lindblad basis needs a full-model wavefunction"):
+        initial_density_matrix(psi0, small_params)
+
+
 def test_trace_preserved_and_positive(small_params):
     p = small_params
     psi0 = initial_state_photon_at_site(0, p, "full", "site")

@@ -13,6 +13,7 @@ from qbsim import (
     effective_hamiltonian,
 )
 from qbsim.errors import DarkConditionViolated
+from qbsim.model import hamiltonian_blocks
 from conftest import random_params
 
 
@@ -164,6 +165,10 @@ class TestEffectiveHamiltonian:
         ev = np.linalg.eigvalsh(h.real)
         outside = (ev < fig2_params.band_lower) | (ev > fig2_params.band_upper)
         assert outside.sum() == 2
+
+    def test_unknown_representation_rejected(self, fig2_params):
+        with pytest.raises(ValueError, match="representation must be 'mode', 'site' or 'even', got 'momentum'"):
+            hamiltonian_blocks(fig2_params, "effective", "momentum")
 
     def test_dark_decoupling_of_bright_states(self):
         # kappa = 0, omega_1 = omega_2 = 0: the bright eigenvectors are

@@ -216,6 +216,13 @@ class TestBoundStates:
         sig = [s for s in bs.states if s.significant]
         assert sig[0].location == "above_band"
 
+    def test_phi_needs_both_states(self, fig2_params):
+        # At g = 0 with E1 above the band, E1 itself is the one bound state.
+        bs = find_bound_states(fig2_params.replace(g1=0.0, g2=0.0), 25.0 + 0j)
+        assert len(bs.states) == 1
+        with pytest.raises(ValueError, match="phi requires both bound states"):
+            bs.phi
+
     def test_lattice_roots_match_matrix_eigenvalues(self, fig2_params):
         p = fig2_params
         for e1 in (20.0, 19.2, 21.5):
@@ -403,6 +410,10 @@ class TestBranchCut:
     def test_fig3a_branch_dephased_at_t50(self, fig3a_params):
         e1 = atom_eigensystem_exact(fig3a_params).dark_energy
         assert abs(branch_cut_integral(50.0, fig3a_params, e1)) < 0.02
+
+    def test_unknown_initial_rejected(self, fig2_params):
+        with pytest.raises(ValueError, match="initial must be 'photon' or 'atom', got 'bogus'"):
+            branch_cut_integral(0.0, fig2_params, 20.5 + 0j, initial="bogus")
 
 
 class TestBranchCutRule:
