@@ -114,7 +114,7 @@ logger = logging.getLogger("qbsim.dynamics")
 
 
 def _split_parity(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mode amplitudes -> even [b_0, (b_k + b_-k)/sqrt(2)] and odd (b_k - b_-k)/sqrt(2), k > 0."""
+    """Mode amplitudes -> even [b_0, (b_k + b_-k)/sqrt(2)] and odd (b_k - b_-k)/sqrt(2), k > 0, along axis 0."""
     half = len(beta) // 2
     pos, neg = beta[half + 1:], beta[half - 1::-1]
     even = np.concatenate([beta[half:half + 1], (pos + neg) / math.sqrt(2.0)])

@@ -16,6 +16,8 @@ with P built from Taylor steps below rounding, so the samples agree up to
 rounding too.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from qbsim.lindblad import (
     SINK,
     DensityMatrix,
     _full_hermitian_hamiltonian,
+    _parity_basis,
     initial_density_matrix,
     lindblad_evolve,
 )
@@ -294,3 +297,76 @@ def test_horner_stages_honour_a_hop_across_the_ring(fig3a_params, monkeypatch):
     # The hop moves rho by far more than that bound (1.4e-2), so it was not dropped.
     without = _kernels.rk4_lindblad(ring, p.kappa, D_IDX, SINK, rho0, delta, n_sub, len(t_grid))[2]
     assert np.max(np.abs(rho_final - without)) > 1e-3
+
+
+def _parity_run(p, site, t_grid):
+    """The kernel on the site-basis H and on the parity-basis H, the second taken back to sites."""
+    ring, delta, n_sub = _lindblad_hamiltonian(p, t_grid)
+    u = _parity_basis(p)
+    rho0 = initial_density_matrix(initial_state_photon_at_site(site, p, "full", "site"), p).rho
+    site_run = _kernels.rk4_lindblad(ring, p.kappa, D_IDX, SINK, rho0, delta, n_sub, len(t_grid))
+    parity_run = _kernels.rk4_lindblad(_full_hermitian_hamiltonian(p, "parity"), p.kappa, D_IDX, SINK,
+                                       u @ rho0 @ u.conj().T, delta, n_sub, len(t_grid))
+    return site_run, parity_run, u
+
+
+# Site 3 carries both parities; site 0 only the even one.
+@pytest.mark.parametrize("site", [0, 3])
+@pytest.mark.parametrize("path", ["eigenbasis", "horner"])
+def test_parity_basis_gives_the_site_basis_run(fig3a_params, path, site, monkeypatch):
+    if path == "horner":
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    p = fig3a_params.replace(n_cavities=21)
+    (block, traces, rho, cond_v), (block_p, traces_p, rho_p, cond_p), u = _parity_run(
+        p, site, np.linspace(0.0, 2.0, 21))
+    assert (cond_v is None) == (cond_p is None) == (path == "horner")
+    assert np.max(np.abs(block_p - block)) <= 1e-12
+    assert np.max(np.abs(traces_p - traces)) <= 1e-12
+    assert np.max(np.abs(u.conj().T @ rho_p @ u - rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("g, n_free", [(0.3, 10), (0.0, 21)], ids=["coupled", "uncoupled"])
+def test_free_states_are_the_uncoupled_modes(fig3a_params, g, n_free):
+    # In the parity basis the odd modes never couple; at g1 = g2 = 0 no mode does, and only
+    # the sink and d, e, m are kept.  No site of the ring is free: each has two hops.
+    p = fig3a_params.replace(n_cavities=21)
+    p = p if g else p.replace(g1=0.0, g2=0.0)
+    free = _kernels.free_states(_full_hermitian_hamiltonian(p, "parity"), D_IDX, SINK)
+    assert np.count_nonzero(free) == n_free
+    assert np.array_equal(np.flatnonzero(free), np.arange(p.n_cavities + 4 - n_free, p.n_cavities + 4))
+    assert not np.any(_kernels.free_states(_full_hermitian_hamiltonian(p), D_IDX, SINK))
+
+
+@pytest.mark.parametrize("path", ["eigenbasis", "horner"])
+def test_a_hop_between_odd_modes_keeps_both_coupled(fig3a_params, path, monkeypatch):
+    # As ``test_horner_stages_honour_a_hop_across_the_ring``, in the parity basis: a hop between
+    # two odd modes couples them to each other, so both are kept and the run follows it.
+    if path == "horner":
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)
+    p = fig3a_params.replace(n_cavities=21)
+    t_grid = np.linspace(0.0, 2.0, 21)
+    delta, n_sub = _lindblad_hamiltonian(p, t_grid)[1:]
+    parity = _full_hermitian_hamiltonian(p, "parity")
+    h, (a, b) = parity.copy(), (p.n_cavities + 4 - 7, p.n_cavities + 4 - 2)  # odd modes k = 4 and 9
+    h[a, b] = h[b, a] = -0.1
+    free = _kernels.free_states(h, D_IDX, SINK)
+    assert np.count_nonzero(free) == 8 and not free[a] and not free[b]
+    u = _parity_basis(p)
+    rho0 = initial_density_matrix(initial_state_photon_at_site(3, p, "full", "site"), p).rho
+    rho0 = u @ rho0 @ u.conj().T
+    block, traces, rho_final, cond_v = _kernels.rk4_lindblad(h, p.kappa, D_IDX, SINK, rho0, delta, n_sub,
+                                                             len(t_grid))
+    rho_ref, tr_ref = _reference_lindblad(h, p.kappa, D_IDX, SINK, rho0, t_grid)
+    assert (cond_v is None) == (path == "horner")
+    assert np.max(np.abs(block - rho_ref[:, D_IDX:D_IDX + 3, D_IDX:D_IDX + 3])) <= 1e-12
+    assert np.max(np.abs(traces - tr_ref)) <= 1e-12
+    assert np.max(np.abs(rho_final - rho_ref[-1])) <= 1e-12
+    # The hop moves rho by far more than that bound, so it was not dropped.
+    without = _kernels.rk4_lindblad(parity, p.kappa, D_IDX, SINK, rho0, delta, n_sub, len(t_grid))[2]
+    assert np.max(np.abs(rho_final - without)) > 1e-3
+
+
+def test_lindblad_kernel_keeps_the_positions_perfbench_reads():
+    # perfbench's step counter reads n_sub and n_samples by position (6 and 7).
+    names = list(inspect.signature(_kernels.rk4_lindblad).parameters)
+    assert names.index("n_sub") == 6 and names.index("n_samples") == 7

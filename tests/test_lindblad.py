@@ -222,3 +222,16 @@ def test_wrong_dim_rejected_before_propagating(small_params, monkeypatch):
     rho0 = initial_density_matrix(initial_state_photon_at_site(0, small_params, "full", "site"), small_params)
     with pytest.raises(ValueError, match=r"rho0 has dim 25, but N = 53 needs dim 57"):
         lindblad_evolve(rho0, np.linspace(0, 1, 11), small_params.replace(n_cavities=53))
+
+
+@pytest.mark.parametrize("uncoupled, n_free", [(False, 10), (True, 21)], ids=["coupled", "uncoupled"])
+def test_debug_log_counts_the_free_states(small_params, caplog, uncoupled, n_free):
+    # The (N - 1)/2 odd modes, and at g1 = g2 = 0 every mode, advance in closed form.
+    p = small_params.replace(g1=0.0, g2=0.0) if uncoupled else small_params
+    caplog.set_level("DEBUG", logger="qbsim.lindblad")
+    psi0 = initial_state_photon_at_site(3, p, "full", "site")
+    lindblad_evolve(initial_density_matrix(psi0, p), np.linspace(0, 1, 11), p)
+    (record,) = caplog.records
+    head, tail = record.getMessage().split("; propagation ")
+    assert head.startswith("lindblad_evolve jump_to_ground: dim 25, exact steps of dt 0.1, trace drift ")
+    assert head.endswith(f", {n_free} free states") and "; eigenbasis, cond(V) " in tail

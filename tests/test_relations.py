@@ -1,4 +1,4 @@
-"""A uniform energy shift, checked on every solver path against the solver itself.
+"""Exact input transformations, checked on every solver path against the solver itself.
 
 Shifting omega0, omega_d, Delta_e and omega_m by s adds s to every level of
 H except the Lindblad sink |0,g>, which stays at 0.  No reference solver is
@@ -13,6 +13,15 @@ one:
   rho[0, j] turns by exp(i s t) and rho[j, 0] by exp(-i s t);
 - ``find_bound_states`` moves each energy by s and keeps each residue.
 
+Both Lindblad paths also meet two more relations (fig3a at N = 21, a
+photon at site 1, 3 or 7):
+
+- scaling every energy and rate by a and every time by 1/a leaves the
+  dynamics as they were, so P_E1 and the final rho are unchanged;
+- the ring reflection j -> N - j (mod N) about the atom's cavity maps H to
+  itself, so a photon at site N - j gives the P_E1 of one at site j, and
+  the final rho with the sites reflected.
+
 Each test prints its worst deviation; the bound is 1e-12.
 """
 
@@ -20,14 +29,15 @@ import numpy as np
 import pytest
 
 from qbsim import _kernels, dynamics
-from qbsim.dynamics import evolve, initial_state
-from qbsim.lindblad import SINK, DensityMatrix, lindblad_evolve
+from qbsim.dynamics import evolve, initial_state, initial_state_photon_at_site
+from qbsim.lindblad import SINK, DensityMatrix, initial_density_matrix, lindblad_evolve
 from qbsim.model import dark_state_energy
 from qbsim.presets import preset
 from qbsim.spectral import find_bound_states
 from conftest import random_params
 
 SHIFT = 1.3
+SCALE = 3.7
 TOL = 1e-12
 
 
@@ -46,6 +56,12 @@ def _seed3_draw25():
     for _ in range(26):
         p = random_params(rng)
     return p
+
+
+def _scaled(p):
+    energies = ("omega0", "xi", "g1", "g2", "omega_p_rabi", "omega_c_rabi", "omega_d_real", "kappa",
+                "omega_e_level", "omega_m_level", "delta_e")
+    return p.replace(**{name: SCALE * getattr(p, name) for name in energies})
 
 
 def _uncoupled(p):
@@ -90,6 +106,39 @@ def test_lindblad_turns_only_the_sink_coherences(params, path, monkeypatch):
     worst = np.max(np.abs(moved - expected))
     print(f"shift by {SHIFT}: worst deviation of the final rho ({path}) {worst:.3g}, "
           f"largest sink coherence {np.max(np.abs(base[SINK, 1:])):.3g}")
+    assert worst <= TOL
+
+
+def _photon_lindblad(p, site, t_grid):
+    return lindblad_evolve(initial_density_matrix(initial_state_photon_at_site(site, p, "full", "site"), p),
+                           t_grid, p)
+
+
+@pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+def test_lindblad_is_unchanged_by_scaling(path, monkeypatch):
+    if path == "dense":
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)  # cond(V) >= 1
+    p, t_grid, worst = _fig3a(), np.linspace(0.0, 5.0, 51), 0.0
+    for site in (1, 3, 7):
+        base, moved = _photon_lindblad(p, site, t_grid), _photon_lindblad(_scaled(p), site, t_grid / SCALE)
+        worst = max(worst, np.max(np.abs(moved.p_dark - base.p_dark)),
+                    np.max(np.abs(moved.final_rho.rho - base.final_rho.rho)))
+    print(f"scaling by {SCALE}: worst deviation of the Lindblad P_E1 and final rho ({path}) {worst:.3g}")
+    assert worst <= TOL
+
+
+@pytest.mark.parametrize("path", ["eigenbasis", "dense"])
+def test_lindblad_ring_reflection(path, monkeypatch):
+    if path == "dense":
+        monkeypatch.setattr(_kernels, "EIGENBASIS_MAX_COND", 0.0)  # cond(V) >= 1
+    p, t_grid, worst = _fig3a(), np.linspace(0.0, 5.0, 51), 0.0
+    n = p.n_cavities
+    mirror = np.r_[:4, 4 + (-np.arange(n)) % n]  # sink and atom in place, site j -> N - j
+    for site in (1, 3, 7):
+        near, far = _photon_lindblad(p, site, t_grid), _photon_lindblad(p, n - site, t_grid)
+        worst = max(worst, np.max(np.abs(far.p_dark - near.p_dark)),
+                    np.max(np.abs(far.final_rho.rho - near.final_rho.rho[np.ix_(mirror, mirror)])))
+    print(f"ring reflection: worst deviation of the Lindblad P_E1 and final rho ({path}) {worst:.3g}")
     assert worst <= TOL
 
 
